@@ -1308,7 +1308,14 @@ let micro () =
                   Algorithms.gathering sched)));
     ]
   in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
+  (* No per-sample [Gc.compact]: on OCaml 5.1 every forced major cycle
+     runs the GC's work counter ahead of allocation, and after a few
+     hundred of them the major GC stops collecting until allocation
+     catches up, so a later allocation-heavy experiment in the same
+     process (streambatch) grows without bound. *)
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~stabilize:false ~quota:(Time.second 0.5) ()
+  in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
@@ -1338,11 +1345,14 @@ let batch_speedups : (string * float) list ref = ref []
 
 let batch () =
   header "BATCH | bit-parallel lockstep replications vs scalar engine"
-    "One frozen uniform schedule (n = 64); R replications of the same\n\
-     algorithm, scalar = R independent Engine.run, batch = one\n\
-     Batch_engine.run_reps lockstep pass (63 replications per word).\n\
-     steps/decode is the decode amortisation observed by the batch;\n\
-     reps/s is batch replication throughput.";
+    "One frozen uniform schedule (n = 64); R replications of a coin\n\
+     algorithm, each drawing from its own Experiment.split_seeds stream.\n\
+     scalar = R independent Engine.run, batch = one Batch_engine.run_reps\n\
+     lockstep pass (63 replications per word). Only the coin rules have\n\
+     lanes: a deterministic algorithm's replications over one schedule\n\
+     are one run, which run_reps executes once. steps/decode is the\n\
+     decode amortisation observed by the batch; reps/s is batch\n\
+     replication throughput.";
   let open Bechamel in
   let n = 64 in
   let rng = Prng.create master_seed in
@@ -1351,7 +1361,10 @@ let batch () =
       (Schedule.of_sequence ~n ~sink:0
          (Generators.uniform_sequence rng ~n ~length:(40 * n * n)))
   in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
+  (* Unstabilised for the reason given in [micro]. *)
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~stabilize:false ~quota:(Time.second 0.25) ()
+  in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
@@ -1376,7 +1389,8 @@ let batch () =
   in
   batch_speedups := [];
   List.iter
-    (fun (label, algo) ->
+    (fun (algo : Doda_core.Algorithm.t) ->
+      let label = algo.name in
       List.iter
         (fun r ->
           let scalar_ns =
@@ -1386,13 +1400,15 @@ let batch () =
                 done)
             /. float_of_int r
           in
-          let batch_ns =
-            measure (fun () ->
-                ignore (Batch_engine.run_reps ~record:`Count algo sched r))
-            /. float_of_int r
+          let reps ?stats () =
+            let rngs =
+              Experiment.split_seeds ~replications:r ~seed:master_seed
+            in
+            Batch_engine.run_reps ~record:`Count ~rngs ?stats algo sched r
           in
+          let batch_ns = measure (fun () -> ignore (reps ())) /. float_of_int r in
           let stats = Batch_engine.stats () in
-          ignore (Batch_engine.run_reps ~record:`Count ~stats algo sched r);
+          ignore (reps ~stats ());
           let amortisation =
             float_of_int stats.lane_steps /. float_of_int stats.decodes
           in
@@ -1405,39 +1421,10 @@ let batch () =
               ratio speedup; fmt amortisation; fmt (1e9 /. batch_ns);
             ])
         [ 1; 16; 64; 256 ])
-    [ ("waiting", Algorithms.waiting); ("gathering", Algorithms.gathering) ];
-  (* Gossip rows: the rep-packed plane layout (k <= 63 folds several
-     replications per word) against R scalar bit-plane runs on the same
-     frozen schedule. *)
-  let problem = Problem.dissemination ~k:8 in
-  List.iter
-    (fun r ->
-      let scalar_ns =
-        measure (fun () ->
-            for _ = 1 to r do
-              ignore (Gossip.run ~record:`Count ~problem sched)
-            done)
-        /. float_of_int r
-      in
-      let batch_ns =
-        measure (fun () ->
-            ignore (Gossip.run_reps ~record:`Count ~problem sched r))
-        /. float_of_int r
-      in
-      let stats = Batch_engine.stats () in
-      ignore (Gossip.run_reps ~record:`Count ~stats ~problem sched r);
-      let amortisation =
-        float_of_int stats.lane_steps /. float_of_int stats.decodes
-      in
-      let speedup = scalar_ns /. batch_ns in
-      batch_speedups :=
-        (Printf.sprintf "gossip:k8-r%d" r, speedup) :: !batch_speedups;
-      Table.add_row t
-        [
-          "gossip:k8"; string_of_int r; fmt scalar_ns; fmt batch_ns;
-          ratio speedup; fmt amortisation; fmt (1e9 /. batch_ns);
-        ])
-    [ 1; 16; 64; 256 ];
+    [
+      Doda_core.Coin_algorithms.coin_waiting (Prng.create master_seed) ~p:0.5;
+      Doda_core.Coin_algorithms.coin_gathering (Prng.create master_seed) ~p:0.3;
+    ];
   batch_speedups := List.rev !batch_speedups;
   (* Timing columns cannot serve as byte-identical CSV baselines. *)
   print_table ~csv:false ~name:"batch" t
@@ -1454,7 +1441,9 @@ let streambatch () =
   header
     "STREAMBATCH | lockstep lanes over one streamed class-constrained schedule"
     "n = 1e5 bounded-recurrent trace (adversary replay: every lane sees\n\
-     the same schedule). scalar = R independent streamed Engine.run\n\
+     the same schedule), coin gathering with one Experiment.split_seeds\n\
+     stream per replication (a deterministic algorithm would be one run\n\
+     repeated R times). scalar = R independent streamed Engine.run\n\
      passes, each decoding its own chunk stream; batch = ONE\n\
      Batch_engine.run_reps pass over a single chunked schedule with a\n\
      pipelined producer domain double-buffering the next block\n\
@@ -1477,26 +1466,30 @@ let streambatch () =
           "reps/s"; "refills"; "prefetched" ]
   in
   stream_batch_speedup := [];
+  let algo =
+    Doda_core.Coin_algorithms.coin_gathering (Prng.create master_seed) ~p:0.3
+  in
+  let label = algo.Doda_core.Algorithm.name in
   List.iter
     (fun r ->
       let t0 = Unix.gettimeofday () in
       for _ = 1 to r do
-        ignore (Engine.run ~record:`Count Algorithms.gathering (mk ()))
+        ignore (Engine.run ~record:`Count algo (mk ()))
       done;
       let scalar = (Unix.gettimeofday () -. t0) /. float_of_int r in
       let sched = mk () in
       Pool.pipeline (Lazy.force pool) sched;
       let t0 = Unix.gettimeofday () in
-      ignore (Batch_engine.run_reps ~record:`Count Algorithms.gathering sched r);
+      let rngs = Experiment.split_seeds ~replications:r ~seed:master_seed in
+      ignore (Batch_engine.run_reps ~record:`Count ~rngs algo sched r);
       let batch = (Unix.gettimeofday () -. t0) /. float_of_int r in
       let stats = Schedule.chunk_stats sched in
       let speedup = scalar /. batch in
       stream_batch_speedup :=
-        !stream_batch_speedup
-        @ [ (Printf.sprintf "gathering-r%d" r, speedup) ];
+        !stream_batch_speedup @ [ (Printf.sprintf "%s-r%d" label r, speedup) ];
       Table.add_row t
         [
-          "gathering"; string_of_int r; fmt scalar; fmt batch; ratio speedup;
+          label; string_of_int r; fmt scalar; fmt batch; ratio speedup;
           fmt (1.0 /. batch);
           string_of_int stats.Schedule.refills;
           string_of_int stats.Schedule.prefetched;

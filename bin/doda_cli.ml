@@ -49,7 +49,17 @@ module Workload = Doda_sim.Workload
 let parse_source s =
   match Workload.parse s with Ok w -> Ok w | Error msg -> Error (`Msg msg)
 
+(* Bad job parameters exit 2 with Workload.check's one-line message,
+   like a bad --problem, instead of escaping as an exception. *)
+let check_job ?reps source ~n ~sink =
+  match Workload.check ?reps source ~n ~sink with
+  | Ok () -> ()
+  | Error msg ->
+      prerr_endline msg;
+      exit 2
+
 let schedule_of_source ?telemetry ?stream source ~n ~sink ~seed =
+  check_job source ~n ~sink;
   Workload.schedule ?telemetry ?stream source ~n ~sink ~seed
 
 (* --metrics / --trace: shared by run and sweep. Telemetry is created
@@ -288,6 +298,7 @@ let sweep_cmd =
       Printf.eprintf "--jobs must be >= 1, got %d\n" jobs;
       exit 2
     end;
+    List.iter (fun n -> check_job ~reps source ~n ~sink:0) ns;
     let tel = telemetry_of ~metrics ~trace () in
     let cp =
       match checkpoint with
@@ -346,9 +357,9 @@ let sweep_cmd =
             in
             let m =
               if batch then
-                (* Lockstep: ONE shared schedule per point, all
-                   replications bit-parallel over it; the pool pipelines
-                   streamed block decodes. *)
+                (* Lockstep: ONE shared schedule per point, one run over
+                   it standing for every replication; the pool
+                   pipelines streamed block decodes. *)
                 Experiment.run_batched_factory ~pool ~telemetry:tel ?checkpoint
                   ~should_stop ~replications:reps ~seed ~max_steps ~label ~n
                   factory algo
@@ -445,11 +456,13 @@ let sweep_cmd =
       & info [ "batch" ]
           ~doc:
             "Lockstep batched sweep: draw ONE schedule per point and run all \
-             replications bit-parallel over it (the adversary-replay \
-             experiment; a different measurement from the default's fresh \
-             schedule per replication). Works with $(b,--stream) in bounded \
-             memory — block decodes are pipelined over the worker domains — \
-             and needs a batch-capable algorithm.")
+             replications over it (the adversary-replay experiment; a \
+             different measurement from the default's fresh schedule per \
+             replication). Every named algorithm is deterministic, so a \
+             point is one run repeated $(i,R) times — executed once — and \
+             its stderr is 0. Works with $(b,--stream) in bounded memory — \
+             block decodes are pipelined over the worker domains — and \
+             needs a batch-capable algorithm.")
   in
   let term =
     Term.(const sweep $ algo_arg $ ns $ reps $ seed_arg $ source_arg

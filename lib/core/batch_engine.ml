@@ -75,294 +75,6 @@ let decoder schedule ~backing ~stp =
       fun t -> Schedule.stepper_get stp t
 
 (* ------------------------------------------------------------------ *)
-(* Bit-parallel replications. *)
-
-let run_reps ?max_steps ?(record = `All) ?rngs ?(stats = fresh_stats ())
-    (algo : Algorithm.t) schedule r =
-  if r < 0 then invalid_arg "Batch_engine.run_reps: negative replication count";
-  let rule =
-    match algo.batch with
-    | Some rule -> rule
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Batch_engine.run_reps: %s has no batch rule (Token_sink / \
-              Coin_sink / Coin_gather / Gather / Meet_policy); fall back to \
-              the scalar Engine.run per replication \
-              (Experiment.replicate_par)"
-             algo.name)
-  in
-  let rngs =
-    match rule with
-    | Algorithm.Coin_sink _ | Algorithm.Coin_gather _ -> (
-        match rngs with
-        | Some a when Array.length a >= r -> a
-        | Some _ ->
-            invalid_arg
-              "Batch_engine.run_reps: fewer rngs than replications"
-        | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Batch_engine.run_reps: %s needs one rng per replication"
-                 algo.name))
-    | Algorithm.Token_sink | Algorithm.Gather _ | Algorithm.Meet_policy _ ->
-        [||]
-  in
-  let limit = limit_for ?max_steps schedule ~what:"Batch_engine.run_reps" in
-  let n = Schedule.n schedule and sink = Schedule.sink schedule in
-  (* Success criterion from the problem family, not hard-coded: the
-     batch executes single-sink aggregation, whose target owner count
-     is [Problem.target_owners]. *)
-  let target = Problem.target_owners (Problem.aggregation ~sink) in
-  let w = (r + word_bits - 1) / word_bits in
-  (* Plane word [v * w + word]: bit [b] set iff node [v] still holds
-     data in replication [word * word_bits + b]. *)
-  let planes = Array.make (n * w) 0 in
-  let live = Array.make w 0 in
-  for word = 0 to w - 1 do
-    let k = Stdlib.min word_bits (r - (word * word_bits)) in
-    let full = mask_of k in
-    if n > target then live.(word) <- full;
-    for v = 0 to n - 1 do
-      planes.((v * w) + word) <- full
-    done
-  done;
-  let alive = ref (if n > target then r else 0) in
-  let owners = Array.make r n in
-  let tx = Array.make r 0 in
-  let last_time = Array.make r (-1) in
-  let record_all = record = `All in
-  let logs =
-    if record_all then Array.init r (fun _ -> Run_log.create ~capacity:n ())
-    else [||]
-  in
-  let backing = Schedule.backing schedule in
-  let needs_stepper =
-    backing = None
-    || (match rule with Algorithm.Meet_policy _ -> true | _ -> false)
-  in
-  let stp = if needs_stepper then Some (Schedule.stepper schedule) else None in
-  let decode = decoder schedule ~backing ~stp in
-  (* Commit sender [s] -> receiver [rcv] at time [t] for every
-     replication in [m] of plane word [word]: one word-parallel holder
-     clear, then per-bit bookkeeping (bounded by the transmit-once
-     model: at most [r * (n - 1)] commits over the whole batch). *)
-  let commit_word ~t word m ~s ~rcv =
-    planes.((s * w) + word) <- planes.((s * w) + word) land lnot m;
-    let rem = ref m in
-    while !rem <> 0 do
-      let bit = !rem land (- !rem) in
-      rem := !rem lxor bit;
-      let rep = (word * word_bits) + ntz bit in
-      owners.(rep) <- owners.(rep) - 1;
-      tx.(rep) <- tx.(rep) + 1;
-      last_time.(rep) <- t;
-      if record_all then Run_log.add logs.(rep) ~time:t ~sender:s ~receiver:rcv;
-      if owners.(rep) = target then begin
-        live.(word) <- live.(word) land lnot bit;
-        decr alive
-      end
-    done
-  in
-  let t = ref 0 in
-  (match rule with
-  | Algorithm.Token_sink ->
-      while !alive > 0 && !t < limit do
-        let i = decode !t in
-        stats.decodes <- stats.decodes + 1;
-        stats.lane_steps <- stats.lane_steps + !alive;
-        let u = Interaction.u i and v = Interaction.v i in
-        if u = sink || v = sink then begin
-          let s = if u = sink then v else u in
-          let bu = u * w and bv = v * w in
-          for word = 0 to w - 1 do
-            let m = planes.(bu + word) land planes.(bv + word) land live.(word) in
-            if m <> 0 then commit_word ~t:!t word m ~s ~rcv:sink
-          done
-        end;
-        incr t
-      done
-  | Algorithm.Coin_sink p ->
-      while !alive > 0 && !t < limit do
-        let i = decode !t in
-        stats.decodes <- stats.decodes + 1;
-        stats.lane_steps <- stats.lane_steps + !alive;
-        let u = Interaction.u i and v = Interaction.v i in
-        if u = sink || v = sink then begin
-          (* The scalar decide short-circuits: the coin is drawn only
-             on sink-involving interactions where both endpoints still
-             hold, so draw exactly there and nowhere else. *)
-          let s = if u = sink then v else u in
-          let bu = u * w and bv = v * w in
-          for word = 0 to w - 1 do
-            let m = planes.(bu + word) land planes.(bv + word) land live.(word) in
-            let rem = ref m in
-            while !rem <> 0 do
-              let bit = !rem land (- !rem) in
-              rem := !rem lxor bit;
-              let rep = (word * word_bits) + ntz bit in
-              if Prng.bernoulli rngs.(rep) p then
-                commit_word ~t:!t word bit ~s ~rcv:sink
-            done
-          done
-        end;
-        incr t
-      done
-  | Algorithm.Coin_gather p ->
-      while !alive > 0 && !t < limit do
-        let i = decode !t in
-        stats.decodes <- stats.decodes + 1;
-        stats.lane_steps <- stats.lane_steps + !alive;
-        let u = Interaction.u i and v = Interaction.v i in
-        let bu = u * w and bv = v * w in
-        if u = sink || v = sink then begin
-          (* Sink meetings transmit unconditionally — no draw. *)
-          let s = if u = sink then v else u in
-          for word = 0 to w - 1 do
-            let m = planes.(bu + word) land planes.(bv + word) land live.(word) in
-            if m <> 0 then commit_word ~t:!t word m ~s ~rcv:sink
-          done
-        end
-        else
-          for word = 0 to w - 1 do
-            let m = planes.(bu + word) land planes.(bv + word) land live.(word) in
-            let rem = ref m in
-            while !rem <> 0 do
-              let bit = !rem land (- !rem) in
-              rem := !rem lxor bit;
-              let rep = (word * word_bits) + ntz bit in
-              if Prng.bernoulli rngs.(rep) p then
-                commit_word ~t:!t word bit ~s:v ~rcv:u
-            done
-          done;
-        incr t
-      done
-  | Algorithm.Gather tb ->
-      let payloads =
-        match tb with
-        | Algorithm.To_heavier -> Array.make (r * n) 1
-        | _ -> [||]
-      in
-      while !alive > 0 && !t < limit do
-        let i = decode !t in
-        stats.decodes <- stats.decodes + 1;
-        stats.lane_steps <- stats.lane_steps + !alive;
-        let u = Interaction.u i and v = Interaction.v i in
-        let bu = u * w and bv = v * w in
-        (match tb with
-        | Algorithm.To_heavier ->
-            (* Receiver depends on per-replication payloads, so the
-               whole commit is per-bit. *)
-            for word = 0 to w - 1 do
-              let m =
-                planes.(bu + word) land planes.(bv + word) land live.(word)
-              in
-              let rem = ref m in
-              while !rem <> 0 do
-                let bit = !rem land (- !rem) in
-                rem := !rem lxor bit;
-                let rep = (word * word_bits) + ntz bit in
-                let base = rep * n in
-                let rcv =
-                  if u = sink || v = sink then sink
-                  else if payloads.(base + u) > payloads.(base + v) then u
-                  else if payloads.(base + v) > payloads.(base + u) then v
-                  else u
-                in
-                let s = if rcv = u then v else u in
-                payloads.(base + rcv) <-
-                  payloads.(base + rcv) + payloads.(base + s);
-                payloads.(base + s) <- 0;
-                commit_word ~t:!t word bit ~s ~rcv
-              done
-            done
-        | Algorithm.To_smaller | Algorithm.To_larger | Algorithm.To_hash ->
-            (* Receiver is a pure function of (t, u, v): shared across
-               the batch, committed word-parallel. *)
-            let rcv =
-              if u = sink || v = sink then sink
-              else
-                match tb with
-                | Algorithm.To_smaller -> u
-                | Algorithm.To_larger -> v
-                | Algorithm.To_hash | Algorithm.To_heavier ->
-                    if Algorithm.hash_coin ~time:!t u v then u else v
-            in
-            let s = if rcv = u then v else u in
-            for word = 0 to w - 1 do
-              let m =
-                planes.(bu + word) land planes.(bv + word) land live.(word)
-              in
-              if m <> 0 then commit_word ~t:!t word m ~s ~rcv
-            done);
-        incr t
-      done
-  | Algorithm.Meet_policy { limit_of; fire } ->
-      let stp = Option.get stp in
-      while !alive > 0 && !t < limit do
-        let i = decode !t in
-        stats.decodes <- stats.decodes + 1;
-        stats.lane_steps <- stats.lane_steps + !alive;
-        let u = Interaction.u i and v = Interaction.v i in
-        let bu = u * w and bv = v * w in
-        let any = ref false in
-        for word = 0 to w - 1 do
-          if planes.(bu + word) land planes.(bv + word) land live.(word) <> 0
-          then any := true
-        done;
-        (* The decision is a pure function of (t, u, v, oracle) — the
-           same for every replication — so compute it once, and only
-           when some replication can transmit (the oracle probe is the
-           expensive part). *)
-        if !any then begin
-          let time = !t in
-          let lim = limit_of ~time in
-          let meet node =
-            if node = sink then Some time
-            else Schedule.stepper_next_meet stp ~node ~after:time ~limit:lim
-          in
-          let rcv =
-            match (meet u, meet v) with
-            | Some m1, Some m2 ->
-                if m1 <= m2 then
-                  if fire ~time (Some m2) then Some u else None
-                else if fire ~time (Some m1) then Some v
-                else None
-            | Some _, None -> if fire ~time None then Some u else None
-            | None, Some _ -> if fire ~time None then Some v else None
-            | None, None ->
-                if fire ~time None then
-                  if Algorithm.hash_coin ~time u v then Some u else Some v
-                else None
-          in
-          match rcv with
-          | None -> ()
-          | Some rcv ->
-              let s = if rcv = u then v else u in
-              for word = 0 to w - 1 do
-                let m =
-                  planes.(bu + word) land planes.(bv + word) land live.(word)
-                in
-                if m <> 0 then commit_word ~t:!t word m ~s ~rcv
-              done
-        end;
-        incr t
-      done);
-  let final_clock = !t in
-  Array.init r (fun rep ->
-      let aggregated = owners.(rep) = target in
-      let word = rep / word_bits and bit = 1 lsl (rep mod word_bits) in
-      {
-        Engine.stop = stop_for schedule ~final_clock ~aggregated;
-        duration = (if aggregated then Some last_time.(rep) else None);
-        steps = (if aggregated then last_time.(rep) + 1 else final_clock);
-        log = (if record_all then logs.(rep) else Run_log.create ());
-        transmission_count = tx.(rep);
-        holders =
-          Array.init n (fun v -> planes.((v * w) + word) land bit <> 0);
-      })
-
-(* ------------------------------------------------------------------ *)
 (* Lockstep algorithm sweep: one lane per rival, packed into one word. *)
 
 type lane =
@@ -372,8 +84,7 @@ type lane =
   | Meet of (time:int -> int) * (time:int -> int option -> bool)
   | Generic of Algorithm.instance
 
-let sweep_chunk ?max_steps ~record ~stats algos schedule =
-  let limit = limit_for ?max_steps schedule ~what:"Batch_engine.sweep" in
+let sweep_chunk ~limit ~record ~stats algos schedule =
   let n = Schedule.n schedule and sink = Schedule.sink schedule in
   let target = Problem.target_owners (Problem.aggregation ~sink) in
   let lanes = Array.of_list algos in
@@ -580,10 +291,150 @@ let rec split_at k = function
 
 let rec sweep ?max_steps ?(record = `All) ?(stats = fresh_stats ()) algos
     schedule =
+  let limit = limit_for ?max_steps schedule ~what:"Batch_engine.sweep" in
   if List.length algos <= word_bits then
-    sweep_chunk ?max_steps ~record ~stats algos schedule
+    sweep_chunk ~limit ~record ~stats algos schedule
   else
     let chunk, rest = split_at word_bits algos in
     Array.append
-      (sweep_chunk ?max_steps ~record ~stats chunk schedule)
+      (sweep_chunk ~limit ~record ~stats chunk schedule)
       (sweep ?max_steps ~record ~stats rest schedule)
+
+(* ------------------------------------------------------------------ *)
+(* Replications. Only the coin rules draw per replication, so only they
+   get bit-parallel lanes; every other rule is a deterministic function
+   of the schedule and runs once. *)
+
+let coin_reps ~limit ~record ~stats ~rngs ~sink_only ~p schedule r =
+  let n = Schedule.n schedule and sink = Schedule.sink schedule in
+  (* Success criterion from the problem family, not hard-coded: the
+     batch executes single-sink aggregation, whose target owner count
+     is [Problem.target_owners]. *)
+  let target = Problem.target_owners (Problem.aggregation ~sink) in
+  let w = (r + word_bits - 1) / word_bits in
+  (* Plane word [v * w + word]: bit [b] set iff node [v] still holds
+     data in replication [word * word_bits + b]. *)
+  let planes = Array.make (n * w) 0 in
+  let live = Array.make w 0 in
+  for word = 0 to w - 1 do
+    let k = Stdlib.min word_bits (r - (word * word_bits)) in
+    let full = mask_of k in
+    if n > target then live.(word) <- full;
+    for v = 0 to n - 1 do
+      planes.((v * w) + word) <- full
+    done
+  done;
+  let alive = ref (if n > target then r else 0) in
+  let owners = Array.make r n in
+  let tx = Array.make r 0 in
+  let last_time = Array.make r (-1) in
+  let record_all = record = `All in
+  let logs =
+    if record_all then Array.init r (fun _ -> Run_log.create ~capacity:n ())
+    else [||]
+  in
+  let backing = Schedule.backing schedule in
+  let stp = if backing = None then Some (Schedule.stepper schedule) else None in
+  let decode = decoder schedule ~backing ~stp in
+  (* Commit sender [s] -> receiver [rcv] at time [t] for replication
+     bit [bit] of plane word [word]. The transmit-once model bounds
+     commits by [r * (n - 1)] over the whole batch. *)
+  let commit ~t word bit ~s ~rcv =
+    planes.((s * w) + word) <- planes.((s * w) + word) land lnot bit;
+    let rep = (word * word_bits) + ntz bit in
+    owners.(rep) <- owners.(rep) - 1;
+    tx.(rep) <- tx.(rep) + 1;
+    last_time.(rep) <- t;
+    if record_all then Run_log.add logs.(rep) ~time:t ~sender:s ~receiver:rcv;
+    if owners.(rep) = target then begin
+      live.(word) <- live.(word) land lnot bit;
+      decr alive
+    end
+  in
+  (* Every holding replication of the word in [m] flips its own coin;
+     [always] commits without a draw. *)
+  let flip ~t word m ~s ~rcv ~always =
+    let rem = ref m in
+    while !rem <> 0 do
+      let bit = !rem land (- !rem) in
+      rem := !rem lxor bit;
+      if always || Prng.bernoulli rngs.((word * word_bits) + ntz bit) p then
+        commit ~t word bit ~s ~rcv
+    done
+  in
+  let t = ref 0 in
+  while !alive > 0 && !t < limit do
+    let i = decode !t in
+    stats.decodes <- stats.decodes + 1;
+    stats.lane_steps <- stats.lane_steps + !alive;
+    let u = Interaction.u i and v = Interaction.v i in
+    (* The sink receives when met; elsewhere [v] sends to the smaller
+       endpoint [u]. The scalar decides short-circuit, so a coin is
+       drawn only where both endpoints still hold: Coin_sink on sink
+       meetings (it ignores the rest), Coin_gather away from the sink
+       (its sink meetings always commit). *)
+    let at_sink = u = sink || v = sink in
+    if at_sink || not sink_only then begin
+      let rcv = if v = sink then v else u in
+      let s = if rcv = u then v else u in
+      let bu = u * w and bv = v * w in
+      for word = 0 to w - 1 do
+        let m = planes.(bu + word) land planes.(bv + word) land live.(word) in
+        flip ~t:!t word m ~s ~rcv ~always:(at_sink && not sink_only)
+      done
+    end;
+    incr t
+  done;
+  let final_clock = !t in
+  Array.init r (fun rep ->
+      let aggregated = owners.(rep) = target in
+      let word = rep / word_bits and bit = 1 lsl (rep mod word_bits) in
+      {
+        Engine.stop = stop_for schedule ~final_clock ~aggregated;
+        duration = (if aggregated then Some last_time.(rep) else None);
+        steps = (if aggregated then last_time.(rep) + 1 else final_clock);
+        log = (if record_all then logs.(rep) else Run_log.create ());
+        transmission_count = tx.(rep);
+        holders =
+          Array.init n (fun v -> planes.((v * w) + word) land bit <> 0);
+      })
+
+let run_reps ?max_steps ?(record = `All) ?rngs ?(stats = fresh_stats ())
+    (algo : Algorithm.t) schedule r =
+  if r < 0 then invalid_arg "Batch_engine.run_reps: negative replication count";
+  let rule =
+    match algo.batch with
+    | Some rule -> rule
+    | None ->
+        invalid_arg
+          (Printf.sprintf
+             "Batch_engine.run_reps: %s has no batch rule (Token_sink / \
+              Coin_sink / Coin_gather / Gather / Meet_policy); fall back to \
+              the scalar Engine.run per replication \
+              (Experiment.replicate_par)"
+             algo.name)
+  in
+  let limit = limit_for ?max_steps schedule ~what:"Batch_engine.run_reps" in
+  let coin ~sink_only p =
+    match rngs with
+    | Some a when Array.length a >= r ->
+        coin_reps ~limit ~record ~stats ~rngs:a ~sink_only ~p schedule r
+    | Some _ ->
+        invalid_arg "Batch_engine.run_reps: fewer rngs than replications"
+    | None ->
+        invalid_arg
+          (Printf.sprintf
+             "Batch_engine.run_reps: %s needs one rng per replication"
+             algo.name)
+  in
+  match rule with
+  | Algorithm.Coin_sink p -> coin ~sink_only:true p
+  | Algorithm.Coin_gather p -> coin ~sink_only:false p
+  | Algorithm.Token_sink | Algorithm.Gather _ | Algorithm.Meet_policy _ ->
+      (* Deterministic: every replication is the same execution, so run
+         it once on the sweep's one-lane path and hand out copies. *)
+      if r = 0 then [||]
+      else
+        let one = (sweep_chunk ~limit ~record ~stats [ algo ] schedule).(0) in
+        Array.init r (fun _ ->
+            { one with Engine.holders = Array.copy one.Engine.holders })

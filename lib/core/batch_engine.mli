@@ -6,16 +6,19 @@
     plays {e one} pass over the schedule and advances many executions
     in lockstep, in two shapes.
 
-    {b Bit-parallel replications} ({!run_reps}): [R] replications of
-    one algorithm over one schedule. Per-node holder sets are stored as
-    bit planes — {!word_bits} replications per native word — so the
-    "do both endpoints still hold data?" test for a whole word of
-    replications is two loads and an [land]. Per-replication work
-    happens only on actual transmissions, which the transmit-once model
-    bounds by [R * (n - 1)] over the entire batch. Deterministic
-    algorithms make every replication identical (useful as a
-    throughput benchmark); coin algorithms differ through their
-    per-replication streams ([rngs]).
+    {b Replications} ({!run_reps}): [R] replications of one algorithm
+    over one schedule. Every algorithm of {!Algorithms.names} is a
+    deterministic function of the interaction sequence, so its [R]
+    replications are one run repeated [R] times (their standard error
+    is 0): [run_reps] executes it once and returns [R] copies. Only
+    the coin rules draw per replication, from per-replication streams
+    ([rngs]); they run
+    bit-parallel, with per-node holder sets stored as bit planes —
+    {!word_bits} replications per native word — so the "do both
+    endpoints still hold data?" test for a whole word of replications
+    is two loads and an [land]. Per-replication work happens only on
+    coin draws and actual transmissions, which the transmit-once model
+    bounds by [R * (n - 1)] over the entire batch.
 
     {b Lockstep algorithm sweep} ({!sweep}): one execution of each of
     up to many rival algorithms over the same schedule, one decode per
@@ -56,11 +59,12 @@ type stats = {
       (** Lockstep steps executed — schedule interactions decoded
           once for the whole batch. *)
   mutable lane_steps : int;
-      (** Sum over decodes of live lanes (replications or
-          algorithms): the scalar engine would have decoded this many
-          interactions. [lane_steps / decodes] is the amortisation
-          factor; dividing further by the batch width gives occupancy
-          — how much of the batch the live mask keeps busy. *)
+      (** Sum over decodes of live lanes (coin replications or
+          algorithms) — the lane steps actually executed; a
+          deterministic {!run_reps} executes one lane whatever [R] is.
+          [lane_steps / decodes] is the amortisation factor; dividing
+          further by the batch width gives occupancy — how much of the
+          batch the live mask keeps busy. *)
 }
 
 val stats : unit -> stats
@@ -83,11 +87,16 @@ val run_reps :
   Doda_dynamic.Schedule.t ->
   int ->
   Engine.result array
-(** [run_reps algo sched r] executes [r] replications of [algo] over
-    [sched] in bit-parallel lockstep and returns their results in
-    replication order. [max_steps] and [record] mean exactly what they
-    do in {!Engine.run} (and [max_steps] is mandatory for generator
-    schedules).
+(** [run_reps algo sched r] returns the results of [r] replications
+    of [algo] over [sched] in replication order. [max_steps] and
+    [record] mean exactly what they do in {!Engine.run} (and
+    [max_steps] is mandatory for generator schedules).
+
+    A deterministic rule ([Token_sink], [Gather], [Meet_policy]) runs
+    once, on {!sweep}'s one-lane path: the [r] results are equal, each
+    has its own [holders] array, and under [`All] they share one
+    transmission log. Coin rules run [r] bit-parallel lanes in one
+    lockstep pass.
 
     [rngs] supplies one independent stream per replication — required
     for coin algorithms, ignored otherwise. Stream identity with the

@@ -229,193 +229,6 @@ let run ?max_steps ?(record = `All) ?(observers = []) ~problem schedule =
       complete_nodes = !ncomplete;
     }
 
-(* Bit-parallel replications, tokens x replications in one plane set.
-   Gossip is deterministic, so R replications over one schedule are
-   identical executions — this is a throughput construct (one decode
-   drives R lanes) and the lockstep vehicle for batched streamed
-   sweeps, mirroring [Batch_engine.run_reps] for aggregation.
-
-   Layout: when k <= 63, [rpw = word_bits / k] replications fold into
-   each word (replication [i] owns bits [(i mod rpw) * k ..] of word
-   [i / rpw]); when k > 63, replication [i] owns its own span of
-   [wk = ceil(k / 63)] words. Either way a word belongs to a small,
-   directly computable set of replications, so gain detection stays
-   one [lxor] per word plus per-gain bookkeeping. *)
-let run_reps ?max_steps ?(record = `All) ?(stats = Batch_engine.stats ())
-    ~problem schedule r =
-  if r < 0 then invalid_arg "Gossip.run_reps: negative replication count";
-  let k = tokens_of ~what:"Gossip.run_reps" problem in
-  let n = Schedule.n schedule in
-  let limit = limit_for ?max_steps schedule ~what:"Gossip.run_reps" in
-  let decode = decoder schedule in
-  let folded = k <= word_bits in
-  let rpw = if folded then word_bits / k else 1 in
-  let wk = if folded then 1 else (k + word_bits - 1) / word_bits in
-  let segs = wk in
-  let w = if folded then (r + rpw - 1) / rpw else r * wk in
-  (* Segment [s] of replication [i]: which plane word, which bits. *)
-  let seg_word i s = if folded then i / rpw else (i * wk) + s in
-  let seg_mask i s =
-    if folded then mask_of k lsl (i mod rpw * k)
-    else if s < wk - 1 then -1
-    else mask_of (k - (s * word_bits))
-  in
-  let planes = Array.make (Stdlib.max 1 (n * w)) 0 in
-  for i = 0 to r - 1 do
-    for j = 0 to k - 1 do
-      let home = Problem.token_home problem ~n ~token:j in
-      let word, bit =
-        if folded then (i / rpw, (i mod rpw * k) + j)
-        else ((i * wk) + (j / word_bits), j mod word_bits)
-      in
-      planes.((home * w) + word) <- planes.((home * w) + word) lor (1 lsl bit)
-    done
-  done;
-  (* Initial coverage is the same in every replication: a node starts
-     complete iff it is home to all k tokens. *)
-  let init_counts = Array.make n 0 in
-  for j = 0 to k - 1 do
-    let home = Problem.token_home problem ~n ~token:j in
-    init_counts.(home) <- init_counts.(home) + 1
-  done;
-  (* complete.(v * r + i): node v covers replication i. One byte per
-     cell keeps the batch O(n * r) bytes, not words. *)
-  let complete = Bytes.make (Stdlib.max 1 (n * r)) '\000' in
-  let ncomplete = Array.make r 0 in
-  let base_complete = ref 0 in
-  for v = 0 to n - 1 do
-    if init_counts.(v) = k then begin
-      incr base_complete;
-      for i = 0 to r - 1 do
-        Bytes.unsafe_set complete ((v * r) + i) '\001'
-      done
-    end
-  done;
-  Array.fill ncomplete 0 r !base_complete;
-  let alive = ref 0 in
-  for i = 0 to r - 1 do
-    if ncomplete.(i) < n then incr alive
-  done;
-  let record_all = record = `All in
-  let logs =
-    if record_all then Array.init r (fun _ -> Run_log.create ~capacity:n ())
-    else [||]
-  in
-  let tx = Array.make r 0 in
-  let last_time = Array.make r (-1) in
-  (* Per-step scratch: which replications gained at u / at v this step
-     (stamped with the step time — a span replication can change in
-     several words, the stamp dedups), in first-gain order. *)
-  let last_gain_u = Array.make r (-1) in
-  let last_gain_v = Array.make r (-1) in
-  let last_touch = Array.make r (-1) in
-  let touched = Array.make (Stdlib.max 1 r) 0 in
-  let ntouched = ref 0 in
-  let touch ~t i =
-    if last_touch.(i) <> t then begin
-      last_touch.(i) <- t;
-      touched.(!ntouched) <- i;
-      incr ntouched
-    end
-  in
-  let scan ~t word changed stamp =
-    if folded then begin
-      let lo = word * rpw in
-      let hi = Stdlib.min r (lo + rpw) - 1 in
-      let base = mask_of k in
-      for i = lo to hi do
-        if changed land (base lsl ((i - lo) * k)) <> 0 then begin
-          stamp.(i) <- t;
-          touch ~t i
-        end
-      done
-    end
-    else begin
-      let i = word / wk in
-      stamp.(i) <- t;
-      touch ~t i
-    end
-  in
-  let clock = ref 0 in
-  while !alive > 0 && !clock < limit do
-    let t = !clock in
-    let i = decode t in
-    stats.Batch_engine.decodes <- stats.Batch_engine.decodes + 1;
-    stats.Batch_engine.lane_steps <- stats.Batch_engine.lane_steps + !alive;
-    let u = Interaction.u i and v = Interaction.v i in
-    let bu = u * w and bv = v * w in
-    ntouched := 0;
-    for word = 0 to w - 1 do
-      let pu = planes.(bu + word) and pv = planes.(bv + word) in
-      let m = pu lor pv in
-      if m <> pu then begin
-        planes.(bu + word) <- m;
-        scan ~t word (m lxor pu) last_gain_u
-      end;
-      if m <> pv then begin
-        planes.(bv + word) <- m;
-        scan ~t word (m lxor pv) last_gain_v
-      end
-    done;
-    for g = 0 to !ntouched - 1 do
-      let rep = touched.(g) in
-      (* Log order within one replication's step: receiver [u] before
-         receiver [v] — same as the scalar run. *)
-      if last_gain_u.(rep) = t then begin
-        tx.(rep) <- tx.(rep) + 1;
-        if record_all then Run_log.add logs.(rep) ~time:t ~sender:v ~receiver:u
-      end;
-      if last_gain_v.(rep) = t then begin
-        tx.(rep) <- tx.(rep) + 1;
-        if record_all then Run_log.add logs.(rep) ~time:t ~sender:u ~receiver:v
-      end;
-      (* The endpoints now share one merged set in this replication:
-         one fullness check covers both. *)
-      let fullnow = ref true in
-      for s = 0 to segs - 1 do
-        let msk = seg_mask rep s in
-        if planes.(bu + seg_word rep s) land msk <> msk then fullnow := false
-      done;
-      if !fullnow then begin
-        let cu = (u * r) + rep and cv = (v * r) + rep in
-        if Bytes.unsafe_get complete cu = '\000' then begin
-          Bytes.unsafe_set complete cu '\001';
-          ncomplete.(rep) <- ncomplete.(rep) + 1;
-          last_time.(rep) <- t
-        end;
-        if Bytes.unsafe_get complete cv = '\000' then begin
-          Bytes.unsafe_set complete cv '\001';
-          ncomplete.(rep) <- ncomplete.(rep) + 1;
-          last_time.(rep) <- t
-        end;
-        if ncomplete.(rep) = n then decr alive
-      end
-    done;
-    incr clock
-  done;
-  let final_clock = !clock in
-  Array.init r (fun rep ->
-      let solved = ncomplete.(rep) = n in
-      let coverage =
-        Array.init n (fun v ->
-            let c = ref 0 in
-            for s = 0 to segs - 1 do
-              c :=
-                !c
-                + popcount (planes.((v * w) + seg_word rep s) land seg_mask rep s)
-            done;
-            !c)
-      in
-      {
-        stop = stop_for schedule ~final_clock ~solved;
-        duration = (if solved then Some last_time.(rep) else None);
-        steps = (if solved then last_time.(rep) + 1 else final_clock);
-        log = (if record_all then logs.(rep) else Run_log.create ());
-        transfer_count = tx.(rep);
-        coverage;
-        complete_nodes = ncomplete.(rep);
-      })
-
 let run_reference ?max_steps ?(record = `All) ?(observers = []) ~problem
     schedule =
   let k = tokens_of ~what:"Gossip.run_reference" problem in

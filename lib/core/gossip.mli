@@ -23,7 +23,12 @@
     records (receiver [Interaction.u] logged before receiver
     [Interaction.v] at the same step), so a log replay reconstructs
     every node's knowledge exactly ({!Validate} and
-    [Analysis.coverage_times] rely on this). *)
+    [Analysis.coverage_times] rely on this).
+
+    Gossip draws no randomness: a run is a function of the schedule
+    alone, so R replications over one shared schedule are one run
+    repeated R times (standard error 0). There is no replication batch
+    here — call {!run} once. *)
 
 type result = {
   stop : Engine.stop_reason;
@@ -79,30 +84,6 @@ val run :
 
     @raise Invalid_argument if [problem] is not [Dissemination], or on
     a missing [max_steps] for an unbounded schedule. *)
-
-val run_reps :
-  ?max_steps:int ->
-  ?record:[ `All | `Count ] ->
-  ?stats:Batch_engine.stats ->
-  problem:Problem.t ->
-  Doda_dynamic.Schedule.t ->
-  int ->
-  result array
-(** [run_reps ~problem sched r] executes [r] gossip replications over
-    one schedule in rep-packed lockstep — replications × tokens folded
-    into 63-bit plane words when [k <= 63] ([63 / k] replications per
-    word), one [ceil (k / 63)]-word span per replication otherwise —
-    so one schedule decode drives all lanes. Element [i] is
-    bit-identical to [run ~problem sched] (gossip is deterministic, so
-    every replication is the same execution): this is a throughput
-    construct and the lockstep vehicle for batched streamed sweeps,
-    the dissemination counterpart of {!Batch_engine.run_reps}.
-
-    [stats] accumulates decodes and lane-steps like the batch engine's.
-    Chunked schedules are read through a cached block view, so memory
-    stays O(block) in the schedule plus O(n · r / 8) batch state.
-
-    @raise Invalid_argument as {!run}, or on a negative [r]. *)
 
 val run_reference :
   ?max_steps:int ->

@@ -33,11 +33,18 @@ type t = {
   executor : unit Domain.t;
   mutable acceptor : Thread.t option;
   conns_mutex : Mutex.t;
-  mutable conns : Thread.t list;
+  conns_done : Condition.t;  (* signalled when [live_conns] drops to 0 *)
+  mutable live_conns : int;
 }
 
 let endpoint t = t.actual
 let queue_depth t = Jobq.depth t.jobq
+
+let connections t =
+  Mutex.lock t.conns_mutex;
+  let live = t.live_conns in
+  Mutex.unlock t.conns_mutex;
+  live
 
 (* --- upload bodies --------------------------------------------------- *)
 
@@ -124,6 +131,15 @@ let parse_workload s =
   | Ok w -> w
   | Error e -> failwith ("bad source: " ^ e)
 
+(* A job whose parameters fail [Workload.check]; its message goes back
+   verbatim, the same text the CLI prints. *)
+exception Bad_job of string
+
+let check_job ?reps source ~n ~sink =
+  match Workload.check ?reps source ~n ~sink with
+  | Ok () -> ()
+  | Error msg -> raise (Bad_job msg)
+
 let handle_run ~job ~ic ~send ~cancelled (r : P.run_req) =
   let problem =
     match Problem.parse ~sink:r.sink (Option.value r.problem ~default:"aggregation") with
@@ -139,6 +155,7 @@ let handle_run ~job ~ic ~send ~cancelled (r : P.run_req) =
         (Schedule.of_fun_chunked ~length:u.length ~n ~sink:r.sink gen, reader.drain)
     | None ->
         let source = parse_workload r.source in
+        check_job source ~n:r.n ~sink:r.sink;
         ( Workload.schedule ~stream:r.stream source ~n:r.n ~sink:r.sink
             ~seed:r.seed,
           fun () -> () )
@@ -189,6 +206,7 @@ let handle_run ~job ~ic ~send ~cancelled (r : P.run_req) =
 
 let handle_sweep t ~job ~send ~cancelled ~pool (s : P.sweep_req) =
   let source = parse_workload s.source in
+  List.iter (fun n -> check_job ~reps:s.reps source ~n ~sink:0) s.ns;
   let cp =
     Option.map
       (fun path ->
@@ -367,9 +385,10 @@ let serve_request t ~ic ~send =
                 send (P.Cancelled { job = !jid });
                 raise e
             | e ->
-                send
-                  (P.Error_response
-                     { job = Some !jid; message = Printexc.to_string e });
+                let message =
+                  match e with Bad_job msg -> msg | e -> Printexc.to_string e
+                in
+                send (P.Error_response { job = Some !jid; message });
                 raise e
           in
           match Jobq.admit t.jobq ~kind ~work with
@@ -395,7 +414,11 @@ let handle_connection t fd =
     Mutex.unlock wlock
   in
   (try serve_request t ~ic ~send with _ -> ());
-  try close_out_noerr oc with _ -> ()
+  (try close_out_noerr oc with _ -> ());
+  Mutex.lock t.conns_mutex;
+  t.live_conns <- t.live_conns - 1;
+  if t.live_conns = 0 then Condition.broadcast t.conns_done;
+  Mutex.unlock t.conns_mutex
 
 let rec accept_loop t =
   if not (Atomic.get t.drain_flag) then begin
@@ -404,10 +427,12 @@ let rec accept_loop t =
     | _ :: _, _, _ -> (
         match Unix.accept t.sock with
         | fd, _ ->
-            let th = Thread.create (fun () -> handle_connection t fd) () in
+            (* Counted before the thread exists, so [wait] cannot miss
+               it; the thread itself keeps no server-side record. *)
             Mutex.lock t.conns_mutex;
-            t.conns <- th :: t.conns;
-            Mutex.unlock t.conns_mutex
+            t.live_conns <- t.live_conns + 1;
+            Mutex.unlock t.conns_mutex;
+            ignore (Thread.create (handle_connection t) fd)
         | exception Unix.Unix_error _ -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     accept_loop t
@@ -466,7 +491,8 @@ let start config =
       executor;
       acceptor = None;
       conns_mutex = Mutex.create ();
-      conns = [];
+      conns_done = Condition.create ();
+      live_conns = 0;
     }
   in
   t.acceptor <- Some (Thread.create (fun () -> accept_loop t) ());
@@ -477,13 +503,14 @@ let initiate_drain t =
 
 let wait t =
   Option.iter Thread.join t.acceptor;
-  (* No new connections after the acceptor exits; the snapshot below
-     is complete. Connection threads unblock as their jobs finish. *)
+  (* No new connections after the acceptor exits, so the count only
+     falls from here. Connection threads unblock as their jobs finish. *)
   Domain.join t.executor;
   Mutex.lock t.conns_mutex;
-  let conns = t.conns in
+  while t.live_conns > 0 do
+    Condition.wait t.conns_done t.conns_mutex
+  done;
   Mutex.unlock t.conns_mutex;
-  List.iter (fun th -> try Thread.join th with _ -> ()) conns;
   Instrument.absorb t.config.telemetry t.exec_shard;
   (try Unix.close t.sock with _ -> ());
   match t.actual with

@@ -50,12 +50,19 @@ val endpoint : t -> endpoint
 
 val queue_depth : t -> int
 
+val connections : t -> int
+(** Connections currently being served. The server keeps no other
+    per-connection state: a finished connection leaves nothing behind,
+    so a long-lived server's footprint does not grow with the number
+    of connections it has served. *)
+
 val initiate_drain : t -> unit
 (** Begin graceful shutdown; safe from any thread, idempotent,
     returns immediately. *)
 
 val wait : t -> unit
-(** Block until drained: joins the accept thread, every connection
-    thread and the executor domain, absorbs the executor telemetry
-    shard, closes the socket and unlinks a unix-domain socket path.
-    Call {!initiate_drain} first (or from a signal watchdog). *)
+(** Block until drained: joins the accept thread and the executor
+    domain, waits for every connection to finish, absorbs the executor
+    telemetry shard, closes the socket and unlinks a unix-domain
+    socket path. Call {!initiate_drain} first (or from a signal
+    watchdog). *)

@@ -68,14 +68,27 @@ let replicate_par ?pool ?jobs ?(telemetry = Instrument.disabled) ~replications
     (fun tel rng -> Instrument.with_span tel "replicate" (fun () -> f rng))
     (split_seeds ~replications ~seed)
 
-(* The batch telemetry fold: one batch pass worth of engine counters. *)
-let record_batch_counters tel (stats : Doda_core.Batch_engine.stats) =
-  let m = Instrument.metrics tel in
-  Doda_obs.Metrics.incr (Doda_obs.Metrics.counter m "batch.runs");
-  Doda_obs.Metrics.add (Doda_obs.Metrics.counter m "batch.decodes") stats.decodes;
-  Doda_obs.Metrics.add
-    (Doda_obs.Metrics.counter m "batch.rep_steps")
-    stats.lane_steps
+(* One lockstep batch pass under a ["batch"] span, with its engine
+   counters folded into [tel]. [batch.rep_steps] counts the lane steps
+   actually executed: one per decode for a deterministic rule, which
+   runs once whatever the replication count. *)
+let batch_pass tel ?max_steps ~record ~rngs algo schedule count =
+  Instrument.with_span tel "batch" (fun () ->
+      let stats = Doda_core.Batch_engine.stats () in
+      let results =
+        Doda_core.Batch_engine.run_reps ?max_steps ~record ~rngs ~stats algo
+          schedule count
+      in
+      let m = Instrument.metrics tel in
+      Doda_obs.Metrics.incr (Doda_obs.Metrics.counter m "batch.runs");
+      Doda_obs.Metrics.add
+        (Doda_obs.Metrics.counter m "batch.decodes")
+        stats.decodes;
+      Doda_obs.Metrics.add
+        (Doda_obs.Metrics.counter m "batch.rep_steps")
+        stats.lane_steps;
+      Instrument.record_chunk_stats tel schedule;
+      results)
 
 let replicate_batched ?pool ?jobs ?(telemetry = Instrument.disabled) ?max_steps
     ?(record = `Count) ~replications ~seed algo schedule =
@@ -87,65 +100,18 @@ let replicate_batched ?pool ?jobs ?(telemetry = Instrument.disabled) ?max_steps
           replication"
          algo.Doda_core.Algorithm.name);
   (* One stream per replication, split up front in index order exactly
-     like [replicate_par]; batch [b] receives the contiguous slice its
-     replications would have received scalar, so the partition into
-     batches (and the job count) cannot change any result. *)
-  let seeds = split_seeds ~replications ~seed in
-  if Doda_dynamic.Schedule.is_frozen schedule then begin
-    (* Frozen: shared read-only backing, so batches of [word_bits]
-       replications fan out across the pool. *)
-    let width = Doda_core.Batch_engine.word_bits in
-    let batches = (replications + width - 1) / width in
-    let starts = Array.init batches (fun b -> b * width) in
-    let jobs =
-      match (pool, jobs) with
-      | None, None -> Some (Pool.default_jobs ())
-      | _ -> jobs
-    in
-    let chunks =
-      dispatch_instrumented ?pool ?jobs ~telemetry
-        (fun tel start ->
-          let count = Stdlib.min width (replications - start) in
-          let rngs = Array.sub seeds start count in
-          Instrument.with_span tel "batch" (fun () ->
-              let stats = Doda_core.Batch_engine.stats () in
-              let results =
-                Doda_core.Batch_engine.run_reps ?max_steps ~record ~rngs ~stats
-                  algo schedule count
-              in
-              record_batch_counters tel stats;
-              results))
-        starts
-    in
-    Array.concat (Array.to_list chunks)
-  end
-  else begin
-    (* Live or chunked: the schedule mutates as it advances, so it
-       cannot be shared across tasks — all replications run in one
-       lockstep pass on the calling domain (the engine packs them
-       [word_bits] per plane word however many there are). A pool, if
-       any, contributes pipeline parallelism instead: block decodes of
-       a chunked schedule run as producer jobs overlapped with this
-       consumer. *)
-    let run_single producer =
-      (match producer with Some p -> Pool.pipeline p schedule | None -> ());
-      Instrument.with_span telemetry "batch" (fun () ->
-          let stats = Doda_core.Batch_engine.stats () in
-          let results =
-            Doda_core.Batch_engine.run_reps ?max_steps ~record ~rngs:seeds
-              ~stats algo schedule replications
-          in
-          record_batch_counters telemetry stats;
-          Instrument.record_chunk_stats telemetry schedule;
-          results)
-    in
-    match pool with
-    | Some p -> run_single (Some p)
-    | None -> (
-        match jobs with
-        | None | Some 1 -> run_single None
-        | Some j -> Pool.with_pool ~jobs:j (fun p -> run_single (Some p)))
-  end
+     like [replicate_par]. The pass runs on the calling domain; a pool
+     only pipelines the block decodes of a chunked schedule. *)
+  let rngs = split_seeds ~replications ~seed in
+  let pass pool =
+    Option.iter (fun p -> Pool.pipeline p schedule) pool;
+    batch_pass telemetry ?max_steps ~record ~rngs algo schedule replications
+  in
+  match (pool, jobs) with
+  | Some p, _ -> pass (Some p)
+  | None, Some j when j > 1 && Doda_dynamic.Schedule.is_chunked schedule ->
+      Pool.with_pool ~jobs:j (fun p -> pass (Some p))
+  | None, _ -> pass None
 
 let of_results ~label ~n results =
   let samples = ref [] in
@@ -276,18 +242,11 @@ let run_batched_factory ?pool ?(telemetry = Instrument.disabled) ?checkpoint
       Instrument.with_span telemetry "schedule/build" (fun () ->
           factory sched_rng)
     in
-    (match pool with Some p -> Pool.pipeline p schedule | None -> ());
+    Option.iter (fun p -> Pool.pipeline p schedule) pool;
     let rngs = Array.map (fun slot -> seeds.(slot)) todo in
     let results =
-      Instrument.with_span telemetry "batch" (fun () ->
-          let stats = Doda_core.Batch_engine.stats () in
-          let results =
-            Doda_core.Batch_engine.run_reps ~max_steps ~record:`Count ~rngs
-              ~stats algo schedule (Array.length todo)
-          in
-          record_batch_counters telemetry stats;
-          Instrument.record_chunk_stats telemetry schedule;
-          results)
+      batch_pass telemetry ~max_steps ~record:`Count ~rngs algo schedule
+        (Array.length todo)
     in
     Array.iteri
       (fun i slot ->

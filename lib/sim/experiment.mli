@@ -73,33 +73,33 @@ val replicate_batched :
   Doda_core.Engine.result array
 (** [replicate_batched ~replications ~seed algo sched] runs
     [replications] lockstep replications of a batch-capable [algo]
-    over one shared schedule. [record] defaults to [`Count]
-    (measurement paths consume durations).
+    over one shared schedule, in one {!Doda_core.Batch_engine.run_reps}
+    pass on the calling domain, whatever the schedule form. [record]
+    defaults to [`Count] (measurement paths consume durations).
 
-    {e Frozen} schedules have a shared read-only backing, so the
-    replications fan out over the pool in bit-parallel batches of
-    {!Doda_core.Batch_engine.word_bits} — each batch one pool task.
-    {e Live and chunked} schedules mutate as they advance and cannot
-    be shared across tasks: all replications run in one lockstep pass
-    on the calling domain instead, and a [pool] (or [jobs >= 2])
-    contributes {!Pool.pipeline} parallelism — a producer task decodes
-    the next block of a chunked schedule while this consumer drains
-    the current one. Memory stays O(block), never O(T): streamed
-    replication suites at n >= 10^5 no longer need a frozen copy.
+    With any algorithm of {!Doda_core.Algorithms.names} the
+    replications are one run repeated [replications] times (the
+    algorithms are deterministic functions of the schedule), executed
+    once; only coin algorithms give replications that differ.
+
+    A [pool] (or [jobs >= 2] on a chunked schedule) contributes
+    {!Pool.pipeline} parallelism: a producer task decodes the next
+    block of a chunked schedule while this consumer drains the
+    current one. Memory stays O(block), never O(T).
 
     Streams come from {!split_seeds} exactly like {!replicate_par}:
-    replication [k] receives stream [k] whatever the batch partition,
-    schedule form, or job count, so results are bit-identical at any
-    [jobs] (for coin algorithms, the batch path draws from these
-    per-replication streams — not from the master captured at
-    algorithm construction, which the scalar [Engine.run] path
-    splits).
+    replication [k] receives stream [k] whatever the schedule form or
+    job count, so results are bit-identical at any [jobs] (for coin
+    algorithms, the batch path draws from these per-replication
+    streams — not from the master captured at algorithm construction,
+    which the scalar [Engine.run] path splits).
 
-    [telemetry] records one ["batch"] span per batch plus the
-    [batch.runs] / [batch.decodes] / [batch.rep_steps] counters:
-    [rep_steps / decodes] is the decode amortisation, and dividing
-    further by {!Doda_core.Batch_engine.word_bits} gives batch
-    occupancy. Chunked passes also fold in [stream.refills]
+    [telemetry] records one ["batch"] span plus the [batch.runs] /
+    [batch.decodes] / [batch.rep_steps] counters: [rep_steps] counts
+    the lane steps actually executed, so [rep_steps / decodes] is the
+    decode amortisation (1 for a deterministic algorithm), and
+    dividing further by the replication count gives batch occupancy.
+    Chunked passes also fold in [stream.refills]
     ({!Doda_obs.Instrument.record_chunk_stats} — the deterministic
     counter only).
 
@@ -165,12 +165,15 @@ val run_batched_factory :
   Doda_core.Algorithm.t -> measurement
 (** Lockstep dual of {!run_schedule_factory}: ONE schedule, built once
     by [factory] from a dedicated stream, with all replications run
-    over it in a single bit-parallel {!Doda_core.Batch_engine.run_reps}
-    pass on the calling domain. Semantically a different experiment —
-    R lanes over one trace (the adversary-replay setting of the paper
-    and the class-constrained workloads) versus R independent traces —
-    which is why it is a separate entry point rather than a mode of
-    the scalar sweep.
+    over it in a single {!Doda_core.Batch_engine.run_reps} pass on the
+    calling domain. Semantically a different experiment — R lanes over
+    one trace (the adversary-replay setting of the paper and the
+    class-constrained workloads) versus R independent traces — which
+    is why it is a separate entry point rather than a mode of the
+    scalar sweep. With any algorithm of {!Doda_core.Algorithms.names}
+    a point is one run repeated R times, so its standard error is 0;
+    the run executes once. Each point records one ["batch"] span and
+    the [batch.*] counters of {!replicate_batched}.
 
     Works on any schedule form the batch engine accepts; with a
     chunked factory the sweep streams in O(block) memory, and [pool]

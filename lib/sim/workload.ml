@@ -69,6 +69,23 @@ let to_string = function
 
 let is_finite = function Trace_file _ -> true | _ -> false
 
+let check ?reps t ~n ~sink =
+  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  let max_n = Doda_dynamic.Interaction.max_node_id + 1 in
+  match (reps, t) with
+  | Some r, _ when r < 1 -> fail "reps must be >= 1, got %d" r
+  | _ when sink < 0 -> fail "sink must be >= 0, got %d" sink
+  | _, Trace_file _ -> Ok () (* the trace widens n to fit its nodes *)
+  | _ when n < 2 -> fail "n must be >= 2, got %d" n
+  | _ when n > max_n -> fail "n must be <= %d, got %d" max_n n
+  | _ when sink >= n -> fail "sink must be < n = %d, got %d" n sink
+  | _, T_interval w when w <> 1 && w < n - 1 ->
+      fail "t-interval:%d needs a window of 1 or >= n - 1 = %d" w (n - 1)
+  | _, Bounded_recurrent b when b < 2 * (n - 1) ->
+      fail "bounded-recurrent:%d needs a bound >= 2 * (n - 1) = %d" b
+        (2 * (n - 1))
+  | _ -> Ok ()
+
 let build ?(stream = false) t ~n ~sink ~seed =
   let rng = Prng.create seed in
   (* Streaming keeps the draw stream: the same generator function

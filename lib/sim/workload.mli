@@ -48,6 +48,15 @@ val schedule :
 val is_finite : t -> bool
 (** True only for [Trace_file]. *)
 
+val check : ?reps:int -> t -> n:int -> sink:int -> (unit, string) result
+(** The job-parameter check shared by the CLI and the serve handlers,
+    run before anything is built: [0 <= sink < n] with [2 <= n] within
+    the packed-interaction limit for generated sources (a trace file
+    widens [n] to fit its nodes, so only [sink >= 0] is checked), the
+    [t-interval] window ([1] or [>= n - 1]) and the
+    [bounded-recurrent] bound ([>= 2 * (n - 1)]), and [reps >= 1] when
+    given. The [Error] side is a one-line message. *)
+
 val sweep_checkpoint_key :
   batch:bool -> algo:string -> source:t -> ns:int list -> reps:int ->
   seed:int -> max_steps:int option -> string

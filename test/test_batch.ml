@@ -3,7 +3,8 @@
    holder set, and for coin algorithms the PRNG draw sequence — to
    running the scalar [Engine.run] once per replication or per
    algorithm. Also covers the remainder batches (R not a multiple of
-   the word width) and live-mask early termination. *)
+   the word width), live-mask early termination of the coin lanes, and
+   the single execution behind a deterministic rule's replications. *)
 
 module Interaction = Doda_dynamic.Interaction
 module Schedule = Doda_dynamic.Schedule
@@ -295,9 +296,8 @@ let test_no_batch_rule_messages () =
         (Doda_sim.Experiment.replicate_batched ~jobs:1 ~replications:3 ~seed:1
            Algorithms.full_knowledge sched))
 
-(* replicate_batched on a non-frozen schedule: the frozen-only
-   restriction is lifted — a chunked schedule runs single-pass on the
-   caller and must equal the frozen fan-out result. *)
+(* replicate_batched is one lockstep pass for every schedule form: a
+   chunked schedule must give the frozen schedule's results. *)
 let prop_replicate_batched_chunked =
   QCheck.Test.make ~count:15
     ~name:"batch: replicate_batched chunked = frozen" instance_arb
@@ -334,7 +334,9 @@ let prop_count_mode =
 
 (* Live-mask early termination: once every replication has aggregated
    the batch stops decoding, so a schedule whose tail is junk is never
-   read past the last useful step. *)
+   read past the last useful step. Coin lanes are the ones that still
+   run bit-parallel; at p = 1 every lane transmits on every sink
+   meeting, so all of them stay live until the third decode. *)
 let test_live_mask_early_stop () =
   let n = 4 and sink = 0 in
   let meets = [ (0, 1); (0, 2); (0, 3) ] in
@@ -346,7 +348,9 @@ let test_live_mask_early_stop () =
   let sched = Schedule.freeze (Schedule.of_sequence ~n ~sink s) in
   let stats = Batch_engine.stats () in
   let r = 200 in
-  let results = Batch_engine.run_reps ~stats Algorithms.waiting sched r in
+  let rngs = Doda_sim.Experiment.split_seeds ~replications:r ~seed:9 in
+  let algo = Coin_algorithms.coin_waiting (Prng.create 9) ~p:1.0 in
+  let results = Batch_engine.run_reps ~rngs ~stats algo sched r in
   Alcotest.(check int) "decodes stop at aggregation" 3 stats.decodes;
   Alcotest.(check int) "every live rep stepped per decode" (3 * r)
     stats.lane_steps;
@@ -355,6 +359,38 @@ let test_live_mask_early_stop () =
       Alcotest.(check bool) "aggregated" true (b.stop = Engine.All_aggregated);
       Alcotest.(check int) "steps" 3 b.steps)
     results
+
+(* A deterministic rule makes every replication the same execution, so
+   run_reps executes it once: one lane of work, R equal results, and no
+   two results share a mutable holders array. *)
+let test_deterministic_runs_once () =
+  let sched = frozen_of (9, 300, 42) in
+  let r = 130 in
+  List.iter
+    (fun (algo : Doda_core.Algorithm.t) ->
+      let scalar = Engine.run algo sched in
+      let stats = Batch_engine.stats () in
+      let batch = Batch_engine.run_reps ~stats algo sched r in
+      let name = algo.Doda_core.Algorithm.name in
+      Alcotest.(check int) (name ^ ": one decode per scalar step")
+        scalar.Engine.steps stats.decodes;
+      Alcotest.(check int) (name ^ ": lane_steps = decodes") stats.decodes
+        stats.lane_steps;
+      Alcotest.(check int) (name ^ ": R results") r (Array.length batch);
+      Array.iteri
+        (fun i (b : Engine.result) ->
+          Alcotest.(check bool) (name ^ ": rep = Engine.run") true
+            (same_result scalar b);
+          for j = 0 to i - 1 do
+            if batch.(j).holders == b.holders then
+              Alcotest.failf "%s: reps %d and %d share holders" name j i
+          done)
+        batch)
+    [
+      Algorithms.waiting;
+      Algorithms.gathering;
+      Algorithms.waiting_greedy ~tau:(Theory.recommended_tau 9);
+    ]
 
 let to_alcotest = QCheck_alcotest.to_alcotest
 
@@ -373,6 +409,8 @@ let () =
             Alcotest.test_case "remainder widths" `Quick test_remainder_widths;
             Alcotest.test_case "live-mask early stop" `Quick
               test_live_mask_early_stop;
+            Alcotest.test_case "deterministic rule runs once" `Quick
+              test_deterministic_runs_once;
           ] );
       ( "streamed",
         List.map to_alcotest

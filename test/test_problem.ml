@@ -239,57 +239,6 @@ let prop_gossip_log_validates =
       && Validate.gossip_complete ~n ~problem prefix r.Gossip.log
          = (r.Gossip.stop = Engine.All_aggregated))
 
-(* Rep-packed lockstep gossip: every replication of [run_reps] must
-   equal the scalar [run], on frozen and chunked forms, across token
-   counts straddling both packing regimes (k <= 63 folds several
-   replications per word, k > 63 gives each replication a word span)
-   and widths around the fold boundary. *)
-let prop_gossip_run_reps_matches_scalar =
-  QCheck.Test.make ~count:40
-    ~name:"Gossip.run_reps = scalar Gossip.run (frozen and chunked)" gossip_arb
-    (fun (n, len, seed, k) ->
-      let s, sink = sequence_of (n, len, seed) in
-      let n = Sequence.max_node s + 1 in
-      let problem = Problem.dissemination ~k in
-      let len = Sequence.length s in
-      let rs = [ 1; 3; 64; 130 ] in
-      let forms () = schedule_forms ~n ~sink s in
-      let base = Gossip.run ~max_steps:len ~problem (List.assoc "frozen" (forms ())) in
-      List.for_all
-        (fun r ->
-          List.for_all
-            (fun name ->
-              let reps =
-                Gossip.run_reps ~max_steps:len ~problem
-                  (List.assoc name (forms ()))
-                  r
-              in
-              Array.length reps = r
-              && Array.for_all (fun b -> same_gossip_h ~len base b) reps)
-            [ "frozen"; "chunked" ])
-        rs)
-
-(* run_reps stats: one decode per step shared by all live lanes. *)
-let test_gossip_run_reps_stats () =
-  let s, sink = sequence_of (8, 300, 3) in
-  let n = Sequence.max_node s + 1 in
-  let problem = Problem.dissemination ~k:8 in
-  let scalar = Gossip.run ~problem (Schedule.of_sequence ~n ~sink s) in
-  let stats = Batch_engine.stats () in
-  let r = 70 in
-  let reps =
-    Gossip.run_reps ~stats ~problem
-      (Schedule.freeze (Schedule.of_sequence ~n ~sink s))
-      r
-  in
-  Alcotest.(check int) "decodes = scalar steps" scalar.Gossip.steps
-    stats.Batch_engine.decodes;
-  Alcotest.(check int) "lane_steps = r * decodes (identical reps)"
-    (r * scalar.Gossip.steps) stats.Batch_engine.lane_steps;
-  Array.iter
-    (fun b -> Alcotest.(check bool) "rep = scalar" true (same_gossip scalar b))
-    reps
-
 (* k = 1: the single token sits at node 0, so gossip is exactly a
    broadcast from node 0 and the duration is the temporal broadcast
    completion time. *)
@@ -459,10 +408,8 @@ let () =
         [
           qtest prop_gossip_matches_reference;
           qtest prop_gossip_log_validates;
-          qtest prop_gossip_run_reps_matches_scalar;
           qtest prop_gossip_k1_is_broadcast;
           Alcotest.test_case "observers and `Count" `Quick test_gossip_observers;
-          Alcotest.test_case "run_reps stats" `Quick test_gossip_run_reps_stats;
           Alcotest.test_case "coverage times" `Quick test_coverage_times;
           Alcotest.test_case "coverage times streamed" `Quick
             test_coverage_times_streamed;

@@ -391,8 +391,8 @@ let test_should_stop_batched () =
 (* ------------------------------------------------------------------ *)
 (* Server scenarios (in-process, unix-domain socket).                 *)
 
-let with_server ?(jobs = 2) ?(max_queue = 8) f =
-  let tel = Instrument.create () in
+let with_server ?(jobs = 2) ?(max_queue = 8) ?(tel = Instrument.create ()) f =
+  
   let sock_path = temp_path ".sock" in
   let srv =
     Server.start
@@ -654,6 +654,85 @@ let sweep_request ?checkpoint ~ns ~reps ~seed () =
       checkpoint;
     }
 
+(* Bad job parameters come back as an Error_response carrying
+   Workload.check's one-line message — the text the CLI prints — and
+   the server keeps serving. *)
+let test_serve_bad_job_parameters () =
+  let expect label req msg endpoint =
+    let c = Client.connect endpoint in
+    let r = Client.run_job c req in
+    Client.close c;
+    match r with
+    | Error e -> Alcotest.fail e
+    | Ok responses -> (
+        match terminal_of responses with
+        | Protocol.Error_response { message; _ } ->
+            Alcotest.(check string) label msg message
+        | other ->
+            Alcotest.fail (Json.to_string (Protocol.response_to_json other)))
+  in
+  let check_error ?reps source ~n ~sink =
+    match Workload.check ?reps source ~n ~sink with
+    | Error msg -> msg
+    | Ok () -> Alcotest.fail "Workload.check accepted a bad job"
+  in
+  let tel, () =
+    with_server (fun _srv endpoint ->
+        expect "run -n 1" (run_request ~n:1 ())
+          (check_error Workload.Uniform ~n:1 ~sink:0)
+          endpoint;
+        expect "sweep --reps 0"
+          (sweep_request ~ns:[ 8 ] ~reps:0 ~seed:1 ())
+          (check_error ~reps:0 Workload.Uniform ~n:8 ~sink:0)
+          endpoint;
+        let c = Client.connect endpoint in
+        (match Client.run_job c (run_request ()) with
+        | Ok responses -> (
+            match terminal_of responses with
+            | Protocol.Run_result _ -> ()
+            | _ -> Alcotest.fail "good job after bad ones did not run")
+        | Error e -> Alcotest.fail e);
+        Client.close c)
+  in
+  Alcotest.(check int) "bad jobs count as failed" 2
+    (counter_value tel "serve.failed")
+
+(* A long-lived server keeps nothing per finished connection: hundreds
+   of sequential clients leave no live connection behind and do not
+   grow the heap. *)
+let test_serve_no_per_connection_state () =
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let _tel, () =
+    with_server ~jobs:1 ~tel:Instrument.disabled (fun srv endpoint ->
+        let serve count =
+          for _ = 1 to count do
+            let c = Client.connect endpoint in
+            (match Client.run_job c (run_request ~n:6 ()) with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e);
+            Client.close c
+          done;
+          (* A connection thread releases its slot just after its last
+             write, which the client may already have read. *)
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while Server.connections srv > 0 && Unix.gettimeofday () < deadline do
+            Thread.delay 0.001
+          done;
+          Alcotest.(check int) "no live connection left" 0
+            (Server.connections srv)
+        in
+        serve 100;
+        let before = live_words () in
+        serve 300;
+        let grown = live_words () - before in
+        if grown >= 300 then
+          Alcotest.failf "heap grew by %d words over 300 connections" grown)
+  in
+  ()
+
 let test_serve_concurrent_clients_bit_identical () =
   let specs = [ (5, [ 8; 12 ]); (6, [ 8; 12 ]); (7, [ 10; 14 ]) ] in
   let _tel, results =
@@ -822,6 +901,10 @@ let () =
             test_serve_cancel_mid_job;
           Alcotest.test_case "concurrent clients, bit-identical results" `Quick
             test_serve_concurrent_clients_bit_identical;
+          Alcotest.test_case "bad job parameters get a one-line error" `Quick
+            test_serve_bad_job_parameters;
+          Alcotest.test_case "no per-connection state outlives a connection"
+            `Quick test_serve_no_per_connection_state;
           Alcotest.test_case "drain on SIGTERM leaves a resumable checkpoint"
             `Quick test_serve_drain_on_sigterm_checkpoints;
         ] );

@@ -288,6 +288,72 @@ let test_workload_schedules_run () =
       Alcotest.(check bool) "bounded-recurrent gossip covers" true
         (r.Doda_core.Gossip.stop = Engine.All_aggregated)
 
+(* Workload.check: the one-line job-parameter check the CLI and serve
+   run before building anything. Messages are pinned verbatim. *)
+let test_workload_check_messages () =
+  let parse s =
+    match Workload.parse s with Ok w -> w | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (src, n, sink, reps, expected) ->
+      let got =
+        match Workload.check ?reps (parse src) ~n ~sink with
+        | Ok () -> "ok"
+        | Error e -> e
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s n=%d sink=%d" src n sink)
+        expected got)
+    [
+      ("uniform", 1, 0, None, "n must be >= 2, got 1");
+      ("uniform", 32, 40, None, "sink must be < n = 32, got 40");
+      ("uniform", 32, -1, None, "sink must be >= 0, got -1");
+      ("uniform", 32, 31, None, "ok");
+      ("uniform", 2, 0, Some 1, "ok");
+      ("uniform", 8, 0, Some 0, "reps must be >= 1, got 0");
+      ( "t-interval:16", 24, 0, None,
+        "t-interval:16 needs a window of 1 or >= n - 1 = 23" );
+      ("t-interval:1", 24, 0, None, "ok");
+      ("t-interval:23", 24, 0, None, "ok");
+      ( "bounded-recurrent:10", 8, 0, None,
+        "bounded-recurrent:10 needs a bound >= 2 * (n - 1) = 14" );
+      ("bounded-recurrent:14", 8, 0, None, "ok");
+      ( "uniform", Doda_dynamic.Interaction.max_node_id + 2, 0, None,
+        Printf.sprintf "n must be <= %d, got %d"
+          (Doda_dynamic.Interaction.max_node_id + 1)
+          (Doda_dynamic.Interaction.max_node_id + 2) );
+      ("trace:/nonexistent", 1, 5, None, "ok");
+      ("trace:/nonexistent", 1, -1, None, "sink must be >= 0, got -1");
+    ]
+
+(* The check agrees with the generators' own rules: a generated source
+   builds (and draws) exactly when the check accepts it. *)
+let prop_workload_check_matches_build =
+  let sources =
+    [
+      "uniform"; "sink-biased:2"; "round-robin"; "waypoint"; "community:3:0.5";
+      "grid:3:3"; "markov:0.2:0.2"; "t-interval:1"; "t-interval:6";
+      "t-interval:20"; "bounded-recurrent:5"; "bounded-recurrent:16";
+    ]
+  in
+  QCheck.Test.make ~count:300 ~name:"Workload.check = builds without error"
+    QCheck.(
+      triple (make ~print:Fun.id (Gen.oneofl sources)) (int_range 0 14)
+        (int_range (-2) 16))
+    (fun (src, n, sink) ->
+      let w = Result.get_ok (Workload.parse src) in
+      let builds =
+        match
+          let sched = Workload.schedule w ~n ~sink ~seed:3 in
+          for t = 0 to 63 do
+            ignore (Schedule.get_exn sched t)
+          done
+        with
+        | () -> true
+        | exception Invalid_argument _ -> false
+      in
+      Result.is_ok (Workload.check w ~n ~sink) = builds)
+
 let test_workload_trace_roundtrip () =
   let rng = Doda_prng.Prng.create 7 in
   let s = Generators.uniform_sequence rng ~n:5 ~length:200 in
@@ -373,6 +439,8 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_workload_parse_errors;
           Alcotest.test_case "schedules run" `Slow test_workload_schedules_run;
           Alcotest.test_case "trace roundtrip" `Quick test_workload_trace_roundtrip;
+          Alcotest.test_case "check messages" `Quick test_workload_check_messages;
+          QCheck_alcotest.to_alcotest prop_workload_check_matches_build;
         ] );
       ( "csv",
         [
