@@ -9,11 +9,8 @@
      doda classify place a trace in the TVG class hierarchy
      doda list     available algorithms, problems and adversaries *)
 
-module Prng = Doda_prng.Prng
 module Sequence = Doda_dynamic.Sequence
 module Schedule = Doda_dynamic.Schedule
-module Generators = Doda_dynamic.Generators
-module Mobility = Doda_dynamic.Mobility
 module Trace = Doda_dynamic.Trace
 module Underlying = Doda_dynamic.Underlying
 module Temporal = Doda_dynamic.Temporal
@@ -29,38 +26,27 @@ module Cost = Doda_core.Cost
 module Knowledge = Doda_core.Knowledge
 module Algorithms = Doda_core.Algorithms
 module Theory = Doda_core.Theory
-module Randomized = Doda_adversary.Randomized
 module Duel = Doda_adversary.Duel
 module Counterexamples = Doda_adversary.Counterexamples
-module Experiment = Doda_sim.Experiment
-module Scaling = Doda_sim.Scaling
 module Table = Doda_sim.Table
 module Instrument = Doda_obs.Instrument
 module Metrics = Doda_obs.Metrics
-module Span = Doda_obs.Span
 
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
-(* Schedule sources (shared syntax lives in Doda_sim.Workload)         *)
+(* Jobs (resolution, checks and defaults live in Doda_sim.Job)         *)
 
+module Job = Doda_sim.Job
 module Workload = Doda_sim.Workload
 
-let parse_source s =
-  match Workload.parse s with Ok w -> Ok w | Error msg -> Error (`Msg msg)
-
-(* Bad job parameters exit 2 with Workload.check's one-line message,
-   like a bad --problem, instead of escaping as an exception. *)
-let check_job ?reps source ~n ~sink =
-  match Workload.check ?reps source ~n ~sink with
-  | Ok () -> ()
-  | Error msg ->
-      prerr_endline msg;
-      exit 2
-
-let schedule_of_source ?telemetry ?stream source ~n ~sink ~seed =
-  check_job source ~n ~sink;
-  Workload.schedule ?telemetry ?stream source ~n ~sink ~seed
+(* A rejected job, or an input file that cannot be read, prints Job's
+   one-line message and exits 2 — the message doda serve sends. *)
+let rejecting f =
+  try f ()
+  with Job.Rejected msg ->
+    prerr_endline msg;
+    exit 2
 
 (* --metrics / --trace: shared by run and sweep. Telemetry is created
    only when one of the flags asks for it; otherwise every code path
@@ -105,22 +91,20 @@ let trace_arg =
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
 
-let source_conv = Arg.conv (parse_source, fun ppf _ -> Format.fprintf ppf "<source>")
-
 let algo_arg =
   let doc =
     "Algorithm: " ^ String.concat " | " Algorithms.names ^ "."
   in
-  Arg.(value & opt string "gathering" & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
+  Arg.(value & opt string Job.default_algo & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
 
 let n_arg =
-  Arg.(value & opt int 32 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
+  Arg.(value & opt int Job.default_n & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
 
 let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+  Arg.(value & opt int Job.default_seed & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let sink_arg =
-  Arg.(value & opt int 0 & info [ "sink" ] ~docv:"SINK" ~doc:"Sink node id.")
+  Arg.(value & opt int Job.default_sink & info [ "sink" ] ~docv:"SINK" ~doc:"Sink node id.")
 
 let max_steps_arg =
   Arg.(
@@ -130,25 +114,13 @@ let max_steps_arg =
 
 let source_arg =
   let doc = "Interaction source: " ^ Workload.syntax ^ "." in
-  Arg.(value & opt source_conv Workload.Uniform & info [ "s"; "source" ] ~docv:"SOURCE" ~doc)
-
-let find_algo name n =
-  match Algorithms.find ~n name with
-  | Some a -> a
-  | None ->
-      Printf.eprintf "unknown algorithm %S; known: %s\n" name
-        (String.concat ", " Algorithms.names);
-      exit 2
+  Arg.(value & opt string Job.default_source & info [ "s"; "source" ] ~docv:"SOURCE" ~doc)
 
 (* ------------------------------------------------------------------ *)
 (* doda run                                                            *)
 
-let gossip_run ~tel ~problem ~stream sched max_steps =
+let gossip_report ~problem ~stream sched result =
   let n = Schedule.n sched in
-  let result =
-    Instrument.with_span tel "gossip/run" (fun () ->
-        Gossip.run ?max_steps ~problem sched)
-  in
   Format.printf "problem: %s@." (Problem.describe problem);
   Format.printf "%a@." Gossip.pp_result result;
   (match Doda_sim.Analysis.mean_coverage_time ~n ~problem result with
@@ -169,62 +141,42 @@ let gossip_run ~tel ~problem ~stream sched max_steps =
         Format.printf "transfer log validates: NO (%a)@." Validate.pp_violation v
   end
 
+let aggregation_report ~tel ~sink ~stream ~timeline sched algo result =
+  let n = Schedule.n sched in
+  Format.printf "algorithm: %s@." algo.Doda_core.Algorithm.name;
+  Format.printf "%a@." Engine.pp_result result;
+  if stream then
+    (* A streamed schedule keeps only its current block: the played
+       prefix no longer exists to analyse — which is the point. *)
+    Format.printf
+      "offline prefix analysis skipped (--stream keeps no prefix)@."
+  else begin
+    let prefix = Schedule.prefix sched (Schedule.materialized sched) in
+    Instrument.with_span tel "analysis/offline-opt" (fun () ->
+        match Convergecast.opt ~n ~sink prefix 0 with
+        | Some o ->
+            Format.printf "offline optimum on played prefix: %d@." (o + 1)
+        | None ->
+            Format.printf "offline optimum on played prefix: infeasible@.");
+    Format.printf "cost: %a@." Cost.pp (Cost.of_result ~n ~sink prefix result)
+  end;
+  if timeline then print_string (Doda_sim.Timeline.render ~n ~sink result)
+
 let run_cmd =
-  let run algo_name n sink seed source max_steps timeline stream metrics trace
-      problem_str =
+  let run algo n sink seed source max_steps timeline stream metrics trace
+      problem =
+    rejecting @@ fun () ->
     let tel = telemetry_of ~resources:true ~metrics ~trace () in
-    let problem =
-      match Problem.parse ~sink problem_str with
-      | Ok p -> p
-      | Error msg ->
-          Printf.eprintf "bad --problem: %s\n" msg;
-          exit 2
+    let sched, outcome =
+      Job.run ~telemetry:tel
+        { Job.algo; n; sink; seed; source; max_steps; problem = Some problem;
+          stream; upload = None }
     in
-    let sched =
-      schedule_of_source ~telemetry:tel ~stream source ~n ~sink ~seed
-    in
-    let max_steps =
-      match (max_steps, Schedule.length sched) with
-      | Some m, _ -> Some m
-      | None, Some _ -> None
-      | None, None -> Some ((200 * n * n) + 10_000)
-    in
-    match problem with
-    | Problem.Dissemination _ ->
-        (* Gossip has no per-algorithm strategy: both endpoints always
-           exchange everything they know. *)
-        gossip_run ~tel ~problem ~stream sched max_steps;
-        if stream then Instrument.record_chunk_stats ~nondeterministic:true tel sched;
-        if metrics then print_string (Instrument.summary tel);
-        emit_trace tel trace
-    | Problem.Aggregation _ ->
-    let algo = find_algo algo_name n in
-    let result =
-      Instrument.with_span tel "engine/run" (fun () ->
-          Engine.run ?max_steps ~observers:(Instrument.engine_observers tel) algo
-            sched)
-    in
-    Format.printf "algorithm: %s@." algo.Doda_core.Algorithm.name;
-    Format.printf "%a@." Engine.pp_result result;
-    if stream then
-      (* A streamed schedule keeps only its current block: the played
-         prefix no longer exists to analyse — which is the point. *)
-      Format.printf
-        "offline prefix analysis skipped (--stream keeps no prefix)@."
-    else begin
-      let examined = Schedule.materialized sched in
-      let prefix = Schedule.prefix sched examined in
-      Instrument.with_span tel "analysis/offline-opt" (fun () ->
-          match Convergecast.opt ~n:(Schedule.n sched) ~sink prefix 0 with
-          | Some o ->
-              Format.printf "offline optimum on played prefix: %d@." (o + 1)
-          | None ->
-              Format.printf "offline optimum on played prefix: infeasible@.");
-      Format.printf "cost: %a@." Cost.pp
-        (Cost.of_result ~n:(Schedule.n sched) ~sink prefix result)
-    end;
-    if timeline then
-      print_string (Doda_sim.Timeline.render ~n:(Schedule.n sched) ~sink result);
+    (match outcome with
+    | Job.Disseminated (problem, result) ->
+        gossip_report ~problem ~stream sched result
+    | Job.Aggregated (algo, result) ->
+        aggregation_report ~tel ~sink ~stream ~timeline sched algo result);
     if stream then Instrument.record_chunk_stats ~nondeterministic:true tel sched;
     if metrics then print_string (Instrument.summary tel);
     emit_trace tel trace
@@ -234,7 +186,7 @@ let run_cmd =
   in
   let problem_arg =
     Arg.(
-      value & opt string "aggregation"
+      value & opt string Job.default_problem
       & info [ "problem" ] ~docv:"PROBLEM"
           ~doc:("Problem to solve: " ^ Problem.syntax ^ ". gossip:K runs k-token \
                  all-to-all dissemination (ignores --algorithm)."))
@@ -250,6 +202,7 @@ let run_cmd =
 
 let duel_cmd =
   let duel algo_name which horizon n_opt =
+    rejecting @@ fun () ->
     let adv, n, knowledge =
       match which with
       | "thm1" -> (Counterexamples.theorem1 (), Counterexamples.theorem1_nodes, None)
@@ -265,7 +218,7 @@ let duel_cmd =
           Printf.eprintf "unknown adversary %S; known: thm1, thm3, spiteful\n" other;
           exit 2
     in
-    let algo = find_algo algo_name n in
+    let algo = Job.algorithm ~n algo_name in
     let result, played = Duel.run ?knowledge ~max_steps:horizon ~n ~sink:0 algo adv in
     Format.printf "adversary: %s (n=%d)@." adv.Doda_adversary.Adversary.name n;
     Format.printf "%a@." Engine.pp_result result;
@@ -292,116 +245,51 @@ let duel_cmd =
 (* doda sweep                                                          *)
 
 let sweep_cmd =
-  let sweep algo_name ns reps seed source max_steps csv jobs stream batch
+  let sweep algo ns reps seed source max_steps csv jobs stream batch
       checkpoint metrics trace =
+    rejecting @@ fun () ->
     if jobs < 1 then begin
       Printf.eprintf "--jobs must be >= 1, got %d\n" jobs;
       exit 2
     end;
-    List.iter (fun n -> check_job ~reps source ~n ~sink:0) ns;
     let tel = telemetry_of ~metrics ~trace () in
-    let cp =
-      match checkpoint with
-      | None -> None
-      | Some path ->
-          (* The key pins every parameter that shapes the sweep, so a
-             checkpoint from a differently-shaped run is discarded
-             instead of leaking wrong results in. Shared verbatim with
-             the serve sweep handler (Workload.sweep_checkpoint_key),
-             so a drain-flushed server checkpoint resumes here. *)
-          let key =
-            Workload.sweep_checkpoint_key ~batch ~algo:algo_name ~source ~ns
-              ~reps ~seed ~max_steps
-          in
-          Some (Doda_sim.Checkpoint.create ~path ~key)
-    in
     (* With a checkpoint, Ctrl-C is graceful: the handler flips a flag,
        the sweep stops at the next replication boundary with every
        finished slot already flushed, and we exit cleanly with a resume
        hint. Without one there is nothing to save — default SIGINT. *)
     let stop = Atomic.make false in
-    if cp <> None then
+    if checkpoint <> None then
       Sys.set_signal Sys.sigint
         (Sys.Signal_handle (fun _ -> Atomic.set stop true));
-    let should_stop () = Atomic.get stop in
-    let t = Table.create ~header:[ "n"; "mean"; "stderr"; "success" ] in
+    let t = Table.create ~header:Job.sweep_header in
     (* One pool for the whole sweep. Seeds are pre-split sequentially
        (Experiment.replicate_par), so the table is identical whatever
        --jobs is. *)
-    Doda_sim.Pool.with_pool ~jobs @@ fun pool ->
-    let interrupted = ref false in
-    let points =
-      try
-        List.mapi
-          (fun i n ->
-            let algo = find_algo algo_name n in
-            let checkpoint =
-              (* One file spans the whole sweep: point [i] owns the slot
-                 range [i*reps .. (i+1)*reps). *)
-              Option.map
-                (fun cp -> Doda_sim.Checkpoint.sub cp ~base:(i * reps))
-                cp
-            in
-            let max_steps =
-              match max_steps with
-              | Some m -> m
-              | None -> (400 * n * n) + 10_000
-            in
-            let label = algo.Doda_core.Algorithm.name in
-            let factory rng =
-              (* One independent instantiation of the workload per
-                 stream handed in: the scalar sweep calls this once per
-                 replication, the batched sweep once per point. *)
-              Workload.schedule ~stream source ~n ~sink:0
-                ~seed:(Prng.int rng 1_000_000_000)
-            in
-            let m =
-              if batch then
-                (* Lockstep: ONE shared schedule per point, one run over
-                   it standing for every replication; the pool
-                   pipelines streamed block decodes. *)
-                Experiment.run_batched_factory ~pool ~telemetry:tel ?checkpoint
-                  ~should_stop ~replications:reps ~seed ~max_steps ~label ~n
-                  factory algo
-              else
-                Experiment.run_schedule_factory ~pool ~telemetry:tel
-                  ?checkpoint ~should_stop ~replications:reps ~seed ~max_steps
-                  ~label ~n factory algo
-            in
-            let p = Scaling.point_of m in
-            Table.add_row t
-              [
-                string_of_int n;
-                Table.cell_f p.Scaling.mean;
-                Table.cell_f p.Scaling.std_error;
-                Table.cell_ratio p.Scaling.success;
-              ];
-            p)
-          ns
-      with Experiment.Interrupted ->
-        interrupted := true;
-        []
+    let outcome =
+      Doda_sim.Pool.with_pool ~jobs @@ fun pool ->
+      Job.sweep ~pool ~telemetry:tel
+        ~should_stop:(fun () -> Atomic.get stop)
+        ~on_point:(fun ~n:_ cells -> Table.add_row t cells)
+        { Job.algo; ns; reps; seed; source; max_steps; batch; stream;
+          checkpoint }
     in
-    Option.iter Doda_sim.Checkpoint.close cp;
-    if !interrupted then
-      Format.printf
-        "interrupted — finished replications flushed to %s; rerun the same \
-         command to resume@."
-        (match cp with
-        | Some cp -> Doda_sim.Checkpoint.path cp
-        | None -> "the checkpoint")
-    else begin
-      Table.print t;
-      (match csv with
-      | Some path ->
-          Doda_sim.Csv.write path ~header:(Table.header_row t) (Table.rows t);
-          Format.printf "csv written to %s@." path
-      | None -> ());
-      if List.length points >= 2 then begin
-        let fit = Scaling.exponent points in
-        Format.printf "log-log exponent: %.3f (r2 = %.4f)@." fit.slope fit.r2
-      end
-    end;
+    (match outcome with
+    | Job.Interrupted path ->
+        Format.printf
+          "interrupted — finished replications flushed to %s; rerun the same \
+           command to resume@."
+          (Option.value path ~default:"the checkpoint")
+    | Job.Done exponent ->
+        Table.print t;
+        (match csv with
+        | Some path ->
+            Doda_sim.Csv.write path ~header:(Table.header_row t) (Table.rows t);
+            Format.printf "csv written to %s@." path
+        | None -> ());
+        Option.iter
+          (fun (slope, r2) ->
+            Format.printf "log-log exponent: %.3f (r2 = %.4f)@." slope r2)
+          exponent);
     (* Counters only, no span timings: with fixed seeds this block is
        byte-identical at any --jobs (the determinism CI check diffs
        it), while wall-clock spans never are. *)
@@ -411,11 +299,11 @@ let sweep_cmd =
   let ns =
     Arg.(
       value
-      & opt (list int) [ 16; 32; 64; 128 ]
+      & opt (list int) Job.default_ns
       & info [ "ns" ] ~docv:"N,N,.." ~doc:"Node counts to sweep.")
   in
   let reps =
-    Arg.(value & opt int 10 & info [ "reps" ] ~docv:"R" ~doc:"Replications per point.")
+    Arg.(value & opt int Job.default_reps & info [ "reps" ] ~docv:"R" ~doc:"Replications per point.")
   in
   let csv =
     Arg.(
@@ -479,7 +367,8 @@ let sweep_cmd =
 
 let generate_cmd =
   let generate n sink seed source length output =
-    let sched = schedule_of_source source ~n ~sink ~seed in
+    rejecting @@ fun () ->
+    let sched = Job.schedule source ~n ~sink ~seed in
     let s = Schedule.prefix sched length in
     Trace.save output s;
     Format.printf "wrote %d interactions on %d nodes to %s@." (Sequence.length s)
@@ -503,7 +392,8 @@ let generate_cmd =
 
 let analyze_cmd =
   let analyze path sink =
-    let s = Trace.load path in
+    rejecting @@ fun () ->
+    let s = Job.reading (fun () -> Trace.load path) in
     let n = Sequence.max_node s + 1 in
     let len = Sequence.length s in
     Format.printf "trace: %s@.nodes: %d, interactions: %d@." path n len;
@@ -544,36 +434,11 @@ let analyze_cmd =
 (* doda classify                                                       *)
 
 let classify_cmd =
-  let yes_no = function
-    | Ok () -> "yes"
-    | Error w -> Format.asprintf "no (%a)" Tvg_class.pp_witness w
-  in
   let classify path window bound =
-    let s = Trace.load path in
-    let n = Sequence.max_node s + 1 in
-    let sum = Tvg_class.summarize ~n s in
-    Format.printf "trace: %s@.nodes: %d, interactions: %d@." path sum.nodes
-      sum.length;
-    Format.printf "footprint: %d edges, %s@." sum.footprint_edges
-      (if sum.footprint_connected then "connected" else "disconnected");
-    Format.printf "temporal: %s@." (yes_no sum.temporal);
-    Format.printf "recurrent: %s@." (yes_no sum.recurrent);
-    (match sum.min_window with
-    | Some w -> Format.printf "smallest power-of-two t-interval window: %d@." w
-    | None -> Format.printf "t-interval: no window up to the trace length@.");
-    (match sum.min_bound with
-    | Some b -> Format.printf "smallest bounded-recurrent bound: %d@." b
-    | None -> Format.printf "bounded-recurrent: empty trace@.");
-    let check cls =
-      Format.printf "%s: %s@."
-        (match cls with
-        | Tvg_class.T_interval w -> Printf.sprintf "t-interval(%d)" w
-        | Tvg_class.Bounded_recurrent b -> Printf.sprintf "bounded-recurrent(%d)" b
-        | c -> Tvg_class.to_string c)
-        (yes_no (Tvg_class.validate ~n cls s))
-    in
-    Option.iter (fun w -> check (Tvg_class.T_interval w)) window;
-    Option.iter (fun b -> check (Tvg_class.Bounded_recurrent b)) bound
+    rejecting @@ fun () ->
+    let s = Job.reading (fun () -> Trace.load path) in
+    Format.printf "trace: %s@." path;
+    List.iter (Format.printf "%s@.") (Job.classify ?window ?bound s)
   in
   let path =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc:"Trace file.")
@@ -700,12 +565,13 @@ let serve_cmd =
 
 let client_cmd =
   let client port socket job_file csv_out cancel_id =
-    let endpoint =
-      match socket with
-      | Some path -> Server.Unix_path path
-      | None -> Server.Tcp ("127.0.0.1", port)
-    in
-    let conn =
+    rejecting @@ fun () ->
+    let connect () =
+      let endpoint =
+        match socket with
+        | Some path -> Server.Unix_path path
+        | None -> Server.Tcp ("127.0.0.1", port)
+      in
       try Client.connect endpoint
       with Unix.Unix_error (e, _, _) ->
         Printf.eprintf "cannot connect: %s\n" (Unix.error_message e);
@@ -713,6 +579,7 @@ let client_cmd =
     in
     match cancel_id with
     | Some id -> (
+        let conn = connect () in
         Client.request conn (Protocol.Cancel id);
         match Client.read_response conn with
         | Some (Ok (Protocol.Cancel_ack { job; found })) ->
@@ -730,12 +597,11 @@ let client_cmd =
               Printf.eprintf "need a JOBFILE (or --cancel ID)\n";
               exit 2
         in
+        (* The job file, and the trace it names, are read and checked
+           before connecting. *)
         let raw =
-          let ic = open_in_bin job_file in
-          let len = in_channel_length ic in
-          let s = really_input_string ic len in
-          close_in ic;
-          s
+          Job.reading (fun () ->
+              In_channel.with_open_bin job_file In_channel.input_all)
         in
         let j =
           match Json.parse raw with
@@ -753,17 +619,8 @@ let client_cmd =
         let j =
           match (trace_file, j) with
           | Some tf, Json.Obj fields when Json.member "upload" j = None ->
-              let u = Client.upload_of_trace tf in
-              Json.Obj
-                (fields
-                @ [
-                    ( "upload",
-                      Json.Obj
-                        [
-                          ("nodes", Json.Int u.Protocol.nodes);
-                          ("length", Json.Int u.Protocol.length);
-                        ] );
-                  ])
+              let u = Job.reading (fun () -> Client.upload_of_trace tf) in
+              Json.Obj (fields @ [ ("upload", Protocol.upload_to_json u) ])
           | _ -> j
         in
         let req =
@@ -773,6 +630,7 @@ let client_cmd =
               Printf.eprintf "bad job file %s: %s\n" job_file e;
               exit 2
         in
+        let conn = connect () in
         let csv_rows = ref [] in
         let on_response = function
           | Protocol.Accepted { job; queue_depth } ->
@@ -818,7 +676,7 @@ let client_cmd =
         | Ok responses -> (
             (match csv_out with
             | Some path when !csv_rows <> [] ->
-                Doda_sim.Csv.write path ~header:Protocol.sweep_csv_header
+                Doda_sim.Csv.write path ~header:Job.sweep_header
                   (List.rev !csv_rows);
                 Format.printf "csv written to %s@." path
             | _ -> ());

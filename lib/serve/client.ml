@@ -47,7 +47,7 @@ let send_trace_file t path =
 
 let upload_of_trace path =
   let _gen, length, max_node = Doda_dynamic.Trace.stream path in
-  { P.nodes = max_node + 1; length }
+  { Doda_sim.Job.nodes = max_node + 1; length }
 
 let read_response t =
   match Frame.read t.ic with

@@ -1,30 +1,9 @@
 module Json = Doda_sim.Json
+module Job = Doda_sim.Job
 
-type upload = { nodes : int; length : int }
-
-type run_req = {
-  algo : string;
-  n : int;
-  sink : int;
-  seed : int;
-  source : string;
-  max_steps : int option;
-  problem : string option;
-  stream : bool;
-  upload : upload option;
-}
-
-type sweep_req = {
-  algo : string;
-  ns : int list;
-  reps : int;
-  seed : int;
-  source : string;
-  max_steps : int option;
-  batch : bool;
-  stream : bool;
-  checkpoint : string option;
-}
+type upload = Job.upload
+type run_req = Job.run
+type sweep_req = Job.sweep
 
 type classify_req = { window : int option; bound : int option; upload : upload }
 
@@ -58,8 +37,6 @@ let stop_string = function
   | Doda_core.Engine.All_aggregated -> "all-aggregated"
   | Doda_core.Engine.Schedule_exhausted -> "schedule-exhausted"
   | Doda_core.Engine.Step_limit -> "step-limit"
-
-let sweep_csv_header = [ "n"; "mean"; "stderr"; "success" ]
 
 (* --- decoding helpers ------------------------------------------------ *)
 
@@ -122,9 +99,9 @@ let upload_of_json j =
   let* length = int_field "length" j in
   if nodes < 1 then Error "upload: nodes must be >= 1"
   else if length < 0 then Error "upload: negative length"
-  else Ok { nodes; length }
+  else Ok { Job.nodes; length }
 
-let upload_to_json u =
+let upload_to_json (u : upload) =
   Json.Obj [ ("nodes", Json.Int u.nodes); ("length", Json.Int u.length) ]
 
 let opt_upload name j =
@@ -200,16 +177,16 @@ let request_of_json j =
   let* cmd = str_field "cmd" j in
   match cmd with
   | "run" ->
-      let* algo = str_field ~default:"gathering" "algo" j in
-      let* n = int_field ~default:32 "n" j in
-      let* sink = int_field ~default:0 "sink" j in
-      let* seed = int_field ~default:42 "seed" j in
-      let* source = str_field ~default:"uniform" "source" j in
+      let* algo = str_field ~default:Job.default_algo "algo" j in
+      let* n = int_field ~default:Job.default_n "n" j in
+      let* sink = int_field ~default:Job.default_sink "sink" j in
+      let* seed = int_field ~default:Job.default_seed "seed" j in
+      let* source = str_field ~default:Job.default_source "source" j in
       let* upload = opt_upload "upload" j in
       Ok
         (Run
            {
-             algo;
+             Job.algo;
              n;
              sink;
              seed;
@@ -220,15 +197,15 @@ let request_of_json j =
              upload;
            })
   | "sweep" ->
-      let* algo = str_field ~default:"gathering" "algo" j in
-      let* ns = int_list_field ~default:[ 16; 32; 64; 128 ] "ns" j in
-      let* reps = int_field ~default:10 "reps" j in
-      let* seed = int_field ~default:42 "seed" j in
-      let* source = str_field ~default:"uniform" "source" j in
+      let* algo = str_field ~default:Job.default_algo "algo" j in
+      let* ns = int_list_field ~default:Job.default_ns "ns" j in
+      let* reps = int_field ~default:Job.default_reps "reps" j in
+      let* seed = int_field ~default:Job.default_seed "seed" j in
+      let* source = str_field ~default:Job.default_source "source" j in
       Ok
         (Sweep
            {
-             algo;
+             Job.algo;
              ns;
              reps;
              seed;

@@ -6,41 +6,17 @@
     contact trace (an [upload]) is followed by ['D'] frames holding
     raw trace-file lines, terminated by an empty ['D'] frame; the
     server feeds them straight into a chunked schedule
-    ([Schedule.of_fun_chunked] over [Trace.stream_lines]) so upload
-    memory stays O(block) regardless of trace length. *)
+    ([Schedule.of_fun_chunked] over [Trace.stream_lines], built by
+    {!Doda_sim.Job.run}) so upload memory stays O(block) regardless of
+    trace length.
 
-type upload = {
-  nodes : int;  (** node count of the uploaded trace *)
-  length : int;  (** number of interactions that will be streamed *)
-}
+    [run_req] and [sweep_req] are {!Doda_sim.Job}'s records: a served
+    job and the same job on the CLI share one field list, one set of
+    defaults and one error message. *)
 
-type run_req = {
-  algo : string;
-  n : int;
-  sink : int;
-  seed : int;
-  source : string;  (** {!Doda_sim.Workload} syntax; ignored under [upload] *)
-  max_steps : int option;
-  problem : string option;  (** [None] = aggregation; else {!Doda_core.Problem} syntax *)
-  stream : bool;
-  upload : upload option;
-}
-
-type sweep_req = {
-  algo : string;
-  ns : int list;
-  reps : int;
-  seed : int;
-  source : string;
-  max_steps : int option;
-  batch : bool;
-  stream : bool;
-  checkpoint : string option;
-      (** server-side checkpoint path (resolved against the server's
-          [DODA_SCRATCH]); shares {!Doda_sim.Workload.sweep_checkpoint_key}
-          with [doda sweep], so a drain-flushed checkpoint resumes
-          offline *)
-}
+type upload = Doda_sim.Job.upload
+type run_req = Doda_sim.Job.run
+type sweep_req = Doda_sim.Job.sweep
 
 type classify_req = {
   window : int option;
@@ -61,10 +37,10 @@ type response =
   | Rejected of { reason : string }
   | Started of { job : int }  (** the executor picked the job up *)
   | Point of { job : int; n : int; cells : string list }
-      (** one finished sweep point; [cells] is the complete table row
-          already formatted server-side ({!Doda_sim.Table.cell_f} /
-          [cell_ratio]), so a client-written CSV is byte-identical to
-          [doda sweep --csv] *)
+      (** one finished sweep point; [cells] is the table row
+          {!Doda_sim.Job.sweep} formats for [doda sweep] too, so a
+          client-written CSV (under {!Doda_sim.Job.sweep_header}) is
+          byte-identical to [doda sweep --csv] *)
   | Summary of { job : int; exponent : (float * float) option }
       (** end of a sweep; [(slope, r2)] when >= 2 points *)
   | Run_result of {
@@ -87,16 +63,14 @@ type response =
 val stop_string : Doda_core.Engine.stop_reason -> string
 (** ["all-aggregated"] | ["schedule-exhausted"] | ["step-limit"]. *)
 
-val sweep_csv_header : string list
-(** The header row of [doda sweep --csv], for clients writing the
-    streamed points to a byte-identical file. *)
-
 val request_to_json : request -> Doda_sim.Json.t
 val request_of_json : Doda_sim.Json.t -> (request, string) result
-(** Decoding applies the CLI's defaults to omitted fields (algo
-    gathering, n 32, sink 0, seed 42, source uniform, reps 10,
-    ns 16,32,64,128) and ignores unknown fields — a job file may carry
-    client-only extras like [trace_file]. *)
+(** Decoding applies {!Doda_sim.Job}'s defaults to omitted fields — the
+    ones the CLI flags read — and ignores unknown fields: a job file
+    may carry client-only extras like [trace_file]. *)
+
+val upload_to_json : upload -> Doda_sim.Json.t
+(** The ["upload"] header object, for clients adding it to a job. *)
 
 val response_to_json : response -> Doda_sim.Json.t
 val response_of_json : Doda_sim.Json.t -> (response, string) result

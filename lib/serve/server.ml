@@ -1,17 +1,10 @@
 module Instrument = Doda_obs.Instrument
-module Schedule = Doda_dynamic.Schedule
 module Sequence = Doda_dynamic.Sequence
 module Trace = Doda_dynamic.Trace
-module Tvg_class = Doda_dynamic.Tvg_class
 module Engine = Doda_core.Engine
 module Gossip = Doda_core.Gossip
 module Problem = Doda_core.Problem
-module Algorithms = Doda_core.Algorithms
-module Experiment = Doda_sim.Experiment
-module Workload = Doda_sim.Workload
-module Scaling = Doda_sim.Scaling
-module Table = Doda_sim.Table
-module Checkpoint = Doda_sim.Checkpoint
+module Job = Doda_sim.Job
 module P = Protocol
 
 type endpoint = Tcp of string * int | Unix_path of string
@@ -118,175 +111,55 @@ let cancel_check ~cancelled =
     incr tick;
     if !tick land 1023 = 0 && cancelled () then raise Jobq.Cancelled
 
-let find_algo name n =
-  match Algorithms.find ~n name with
-  | Some a -> a
-  | None ->
-      failwith
-        (Printf.sprintf "unknown algorithm %S; known: %s" name
-           (String.concat ", " Algorithms.names))
-
-let parse_workload s =
-  match Workload.parse s with
-  | Ok w -> w
-  | Error e -> failwith ("bad source: " ^ e)
-
-(* A job whose parameters fail [Workload.check]; its message goes back
-   verbatim, the same text the CLI prints. *)
-exception Bad_job of string
-
-let check_job ?reps source ~n ~sink =
-  match Workload.check ?reps source ~n ~sink with
-  | Ok () -> ()
-  | Error msg -> raise (Bad_job msg)
-
+(* The upload's lines reach the job; whatever it leaves unread is
+   drained however the job ends. *)
 let handle_run ~job ~ic ~send ~cancelled (r : P.run_req) =
-  let problem =
-    match Problem.parse ~sink:r.sink (Option.value r.problem ~default:"aggregation") with
-    | Ok p -> p
-    | Error e -> failwith ("bad problem: " ^ e)
+  let reader = Option.map (fun _ -> upload_reader ic) r.upload in
+  let _sched, outcome =
+    Fun.protect
+      ~finally:(fun () -> Option.iter (fun rd -> rd.drain ()) reader)
+      (fun () ->
+        Job.run ~record:`Count ~on_step:(cancel_check ~cancelled)
+          ?lines:(Option.map (fun rd -> rd.next_line) reader)
+          r)
   in
-  let sched, drain =
-    match r.upload with
-    | Some u ->
-        let n = max u.nodes (r.sink + 1) in
-        let reader = upload_reader ic in
-        let gen = Trace.stream_lines ~length:u.length reader.next_line in
-        (Schedule.of_fun_chunked ~length:u.length ~n ~sink:r.sink gen, reader.drain)
-    | None ->
-        let source = parse_workload r.source in
-        check_job source ~n:r.n ~sink:r.sink;
-        ( Workload.schedule ~stream:r.stream source ~n:r.n ~sink:r.sink
-            ~seed:r.seed,
-          fun () -> () )
-  in
-  let n = Schedule.n sched in
-  let max_steps =
-    match (r.max_steps, Schedule.length sched) with
-    | Some m, _ -> Some m
-    | None, Some _ -> None
-    | None, None -> Some ((200 * n * n) + 10_000)
-  in
-  let check = cancel_check ~cancelled in
-  match problem with
-  | Problem.Dissemination _ ->
-      let obs = Gossip.observer ~on_step:(fun ~time:_ _ -> check ()) () in
-      let result =
-        Fun.protect ~finally:drain (fun () ->
-            Gossip.run ?max_steps ~record:`Count ~observers:[ obs ] ~problem
-              sched)
-      in
-      send
-        (P.Run_result
-           {
-             job;
-             stop = P.stop_string result.Gossip.stop;
-             duration = result.Gossip.duration;
-             steps = result.Gossip.steps;
-             transmissions = result.Gossip.transfer_count;
-             problem = Some (Problem.describe problem);
-           })
-  | Problem.Aggregation _ ->
-      let algo = find_algo r.algo n in
-      let obs = Engine.observer ~on_step:(fun ~time:_ _ -> check ()) () in
-      let result =
-        Fun.protect ~finally:drain (fun () ->
-            Engine.run ?max_steps ~record:`Count ~observers:[ obs ] algo sched)
-      in
-      send
-        (P.Run_result
-           {
-             job;
-             stop = P.stop_string result.Engine.stop;
-             duration = result.Engine.duration;
-             steps = result.Engine.steps;
-             transmissions = result.Engine.transmission_count;
-             problem = None;
-           })
+  send
+    (match outcome with
+    | Job.Disseminated (problem, result) ->
+        P.Run_result
+          {
+            job;
+            stop = P.stop_string result.Gossip.stop;
+            duration = result.Gossip.duration;
+            steps = result.Gossip.steps;
+            transmissions = result.Gossip.transfer_count;
+            problem = Some (Problem.describe problem);
+          }
+    | Job.Aggregated (_, result) ->
+        P.Run_result
+          {
+            job;
+            stop = P.stop_string result.Engine.stop;
+            duration = result.Engine.duration;
+            steps = result.Engine.steps;
+            transmissions = result.Engine.transmission_count;
+            problem = None;
+          })
 
 let handle_sweep t ~job ~send ~cancelled ~pool (s : P.sweep_req) =
-  let source = parse_workload s.source in
-  List.iter (fun n -> check_job ~reps:s.reps source ~n ~sink:0) s.ns;
-  let cp =
-    Option.map
-      (fun path ->
-        let key =
-          Workload.sweep_checkpoint_key ~batch:s.batch ~algo:s.algo ~source
-            ~ns:s.ns ~reps:s.reps ~seed:s.seed ~max_steps:s.max_steps
-        in
-        Checkpoint.create ~path ~key)
-      s.checkpoint
-  in
   (* Stop at the next replication boundary on cancellation, or — when
      there is a checkpoint to hand back — on server drain. An
      uncheckpointed sweep ignores drain and runs to completion (drain
      means "finish admitted work", not "lose it"). *)
   let should_stop () =
-    cancelled () || (Atomic.get t.drain_flag && cp <> None)
+    cancelled () || (Atomic.get t.drain_flag && s.checkpoint <> None)
   in
-  match
-    let points =
-      List.mapi
-        (fun i n ->
-          let algo = find_algo s.algo n in
-          let checkpoint =
-            Option.map (fun c -> Checkpoint.sub c ~base:(i * s.reps)) cp
-          in
-          let max_steps =
-            match s.max_steps with
-            | Some m -> m
-            | None -> (400 * n * n) + 10_000
-          in
-          let label = algo.Doda_core.Algorithm.name in
-          let factory rng =
-            Workload.schedule ~stream:s.stream source ~n ~sink:0
-              ~seed:(Doda_prng.Prng.int rng 1_000_000_000)
-          in
-          let m =
-            if s.batch then
-              Experiment.run_batched_factory ~pool ?checkpoint ~should_stop
-                ~replications:s.reps ~seed:s.seed ~max_steps ~label ~n factory
-                algo
-            else
-              Experiment.run_schedule_factory ~pool ?checkpoint ~should_stop
-                ~replications:s.reps ~seed:s.seed ~max_steps ~label ~n factory
-                algo
-          in
-          let p = Scaling.point_of m in
-          send
-            (P.Point
-               {
-                 job;
-                 n;
-                 cells =
-                   [
-                     string_of_int n;
-                     Table.cell_f p.Scaling.mean;
-                     Table.cell_f p.Scaling.std_error;
-                     Table.cell_ratio p.Scaling.success;
-                   ];
-               });
-          p)
-        s.ns
-    in
-    Option.iter Checkpoint.close cp;
-    points
-  with
-  | points ->
-      let exponent =
-        if List.length points >= 2 then
-          let fit = Scaling.exponent points in
-          Some (fit.Doda_stats.Regression.slope, fit.Doda_stats.Regression.r2)
-        else None
-      in
-      send (P.Summary { job; exponent })
-  | exception Experiment.Interrupted -> (
-      Option.iter Checkpoint.close cp;
-      if cancelled () then raise Jobq.Cancelled
-      else
-        match cp with
-        | Some c -> send (P.Checkpointed { job; path = Checkpoint.path c })
-        | None -> raise Jobq.Cancelled)
+  let on_point ~n cells = send (P.Point { job; n; cells }) in
+  match Job.sweep ~pool ~should_stop ~on_point s with
+  | Job.Done exponent -> send (P.Summary { job; exponent })
+  | Job.Interrupted (Some path) when not (cancelled ()) ->
+      send (P.Checkpointed { job; path })
+  | Job.Interrupted _ -> raise Jobq.Cancelled
 
 let handle_classify ~job ~ic ~send ~cancelled (c : P.classify_req) =
   let u = c.P.upload in
@@ -308,43 +181,8 @@ let handle_classify ~job ~ic ~send ~cancelled (c : P.classify_req) =
           Sequence.of_array arr
         end)
   in
-  let n = max u.nodes (Sequence.max_node seq + 1) in
-  let sum = Tvg_class.summarize ~n seq in
-  let yes_no = function
-    | Ok () -> "yes"
-    | Error w -> Format.asprintf "no (%a)" Tvg_class.pp_witness w
-  in
-  let check_cls cls =
-    Printf.sprintf "%s: %s"
-      (match cls with
-      | Tvg_class.T_interval w -> Printf.sprintf "t-interval(%d)" w
-      | Tvg_class.Bounded_recurrent b -> Printf.sprintf "bounded-recurrent(%d)" b
-      | cls -> Tvg_class.to_string cls)
-      (yes_no (Tvg_class.validate ~n cls seq))
-  in
   let report =
-    [
-      Printf.sprintf "nodes: %d, interactions: %d" sum.Tvg_class.nodes
-        sum.Tvg_class.length;
-      Printf.sprintf "footprint: %d edges, %s" sum.Tvg_class.footprint_edges
-        (if sum.Tvg_class.footprint_connected then "connected"
-         else "disconnected");
-      "temporal: " ^ yes_no sum.Tvg_class.temporal;
-      "recurrent: " ^ yes_no sum.Tvg_class.recurrent;
-      (match sum.Tvg_class.min_window with
-      | Some w -> Printf.sprintf "smallest power-of-two t-interval window: %d" w
-      | None -> "t-interval: no window up to the trace length");
-      (match sum.Tvg_class.min_bound with
-      | Some b -> Printf.sprintf "smallest bounded-recurrent bound: %d" b
-      | None -> "bounded-recurrent: empty trace");
-    ]
-    @ (match c.window with
-      | Some w -> [ check_cls (Tvg_class.T_interval w) ]
-      | None -> [])
-    @
-    match c.bound with
-    | Some b -> [ check_cls (Tvg_class.Bounded_recurrent b) ]
-    | None -> []
+    Job.classify ?window:c.window ?bound:c.bound ~nodes:u.nodes seq
   in
   send (P.Classify_result { job; report })
 
@@ -386,7 +224,9 @@ let serve_request t ~ic ~send =
                 raise e
             | e ->
                 let message =
-                  match e with Bad_job msg -> msg | e -> Printexc.to_string e
+                  match e with
+                  | Job.Rejected msg -> msg
+                  | e -> Printexc.to_string e
                 in
                 send (P.Error_response { job = Some !jid; message });
                 raise e

@@ -19,8 +19,11 @@
     Determinism: a job's results depend only on its request (seeds are
     pre-split per replication — {!Doda_sim.Experiment.split_seeds}),
     never on queue interleaving, concurrent clients, or [jobs]; the
-    test suite diffs served sweeps against direct {!Doda_sim.Experiment}
-    calls byte-for-byte.
+    test suite diffs served sweeps against the offline
+    {!Doda_sim.Job.sweep} — what [doda sweep] runs — byte-for-byte.
+    Jobs are resolved, checked and run by {!Doda_sim.Job}; a rejected
+    job's [error] response carries {!Doda_sim.Job.Rejected}'s message
+    verbatim, the line the CLI prints.
 
     Graceful drain ({!initiate_drain}): stop accepting connections,
     reject new admissions with ["server is draining"], finish every

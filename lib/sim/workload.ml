@@ -109,14 +109,25 @@ let build ?(stream = false) t ~n ~sink ~seed =
   | Bounded_recurrent b ->
       wrap (Doda_dynamic.Tvg_class.gen_bounded_recurrent rng ~n ~bound:b)
   | Trace_file path ->
+      (* The trace widens n to fit its nodes; the sink must be one of
+         them, which only reading the trace tells. *)
+      let fit max_node =
+        let n = Stdlib.max n (max_node + 1) in
+        if sink >= n then
+          failwith
+            (Printf.sprintf
+               "sink must be < %d, the larger of n and the trace's node \
+                count, got %d"
+               n sink);
+        n
+      in
       if stream then begin
         let gen, length, max_node = Trace.stream path in
-        Schedule.of_fun_chunked ~length ~n:(Stdlib.max n (max_node + 1)) ~sink
-          gen
+        Schedule.of_fun_chunked ~length ~n:(fit max_node) ~sink gen
       end
       else
         let s = Trace.load path in
-        Schedule.of_sequence ~n:(Stdlib.max n (Sequence.max_node s + 1)) ~sink s
+        Schedule.of_sequence ~n:(fit (Sequence.max_node s)) ~sink s
 
 let schedule ?(telemetry = Doda_obs.Instrument.disabled) ?stream t ~n ~sink
     ~seed =

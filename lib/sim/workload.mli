@@ -43,14 +43,14 @@ val schedule :
     every run result — is unchanged, but access is forward-only and
     meet-time knowledge is unavailable (fine for Gathering/Waiting).
     @raise Sys_error / Failure on unreadable or malformed trace
-    files. *)
+    files, and Failure when [sink] is not below the larger of [n] and
+    the trace's node count. *)
 
 val is_finite : t -> bool
 (** True only for [Trace_file]. *)
 
 val check : ?reps:int -> t -> n:int -> sink:int -> (unit, string) result
-(** The job-parameter check shared by the CLI and the serve handlers,
-    run before anything is built: [0 <= sink < n] with [2 <= n] within
+(** The job-parameter check, run by {!Job} before anything is built: [0 <= sink < n] with [2 <= n] within
     the packed-interaction limit for generated sources (a trace file
     widens [n] to fit its nodes, so only [sink >= 0] is checked), the
     [t-interval] window ([1] or [>= n - 1]) and the

@@ -41,7 +41,9 @@ let instance_arb =
 let sequence_of (n, len, seed) =
   let rng = Prng.create seed in
   let s = Generators.uniform_sequence rng ~n ~length:len in
-  let sink = Prng.int rng n in
+  (* Callers size n by the largest node id, which a short sequence
+     may leave below the instance's n: draw the sink among those. *)
+  let sink = Prng.int rng (Sequence.max_node s + 1) in
   (s, sink)
 
 (* ------------------------------------------------------------------ *)

@@ -15,8 +15,7 @@ module Algorithms = Doda_core.Algorithms
 module Experiment = Doda_sim.Experiment
 module Checkpoint = Doda_sim.Checkpoint
 module Workload = Doda_sim.Workload
-module Scaling = Doda_sim.Scaling
-module Table = Doda_sim.Table
+module Job = Doda_sim.Job
 module Json = Doda_sim.Json
 module Instrument = Doda_obs.Instrument
 module Metrics = Doda_obs.Metrics
@@ -264,18 +263,38 @@ let test_protocol_roundtrip () =
     response_roundtrip_cases
 
 let test_protocol_defaults () =
-  match Json.parse {|{"cmd":"run","seed":3}|} with
-  | Error e -> Alcotest.fail e
-  | Ok j -> (
-      match Protocol.request_of_json j with
-      | Ok (Protocol.Run r) ->
-          Alcotest.(check string) "default algo" "gathering" r.algo;
-          Alcotest.(check int) "default n" 32 r.n;
-          Alcotest.(check int) "given seed" 3 r.seed;
-          Alcotest.(check string) "default source" "uniform" r.source;
-          Alcotest.(check bool) "default stream" false r.stream
-      | Ok _ -> Alcotest.fail "decoded to the wrong request"
-      | Error e -> Alcotest.fail e)
+  let decode text =
+    match Json.parse text with
+    | Error e -> Alcotest.fail e
+    | Ok j -> (
+        match Protocol.request_of_json j with
+        | Ok r -> r
+        | Error e -> Alcotest.fail e)
+  in
+  (match decode {|{"cmd":"run","seed":3}|} with
+  | Protocol.Run r ->
+      Alcotest.(check string) "default algo" Job.default_algo r.algo;
+      Alcotest.(check int) "default n" Job.default_n r.n;
+      Alcotest.(check int) "default sink" Job.default_sink r.sink;
+      Alcotest.(check int) "given seed" 3 r.seed;
+      Alcotest.(check string) "default source" Job.default_source r.source;
+      Alcotest.(check (option int)) "no step limit" None r.max_steps;
+      Alcotest.(check (option string)) "default problem" None r.problem;
+      Alcotest.(check bool) "default stream" false r.stream;
+      Alcotest.(check bool) "no upload" true (r.upload = None)
+  | _ -> Alcotest.fail "decoded to the wrong request");
+  match decode {|{"cmd":"sweep"}|} with
+  | Protocol.Sweep s ->
+      Alcotest.(check string) "default algo" Job.default_algo s.algo;
+      Alcotest.(check (list int)) "default ns" Job.default_ns s.ns;
+      Alcotest.(check int) "default reps" Job.default_reps s.reps;
+      Alcotest.(check int) "default seed" Job.default_seed s.seed;
+      Alcotest.(check string) "default source" Job.default_source s.source;
+      Alcotest.(check (option int)) "no step limit" None s.max_steps;
+      Alcotest.(check bool) "default batch" false s.batch;
+      Alcotest.(check bool) "default stream" false s.stream;
+      Alcotest.(check (option string)) "no checkpoint" None s.checkpoint
+  | _ -> Alcotest.fail "decoded to the wrong request"
 
 (* ------------------------------------------------------------------ *)
 (* One-pass trace streaming from a pipe (no seek, no second pass).    *)
@@ -616,47 +635,36 @@ let test_serve_cancel_mid_job () =
   Alcotest.(check int) "cancelled counter" 1 (counter_value tel "serve.cancelled");
   Alcotest.(check int) "nothing completed" 0 (counter_value tel "serve.completed")
 
-let offline_sweep_cells ?cp ~ns ~reps ~seed () =
-  List.mapi
-    (fun i n ->
-      let checkpoint = Option.map (fun c -> Checkpoint.sub c ~base:(i * reps)) cp in
-      let factory rng =
-        Workload.schedule Workload.Uniform ~n ~sink:0
-          ~seed:(Prng.int rng 1_000_000_000)
-      in
-      let m =
-        Experiment.run_schedule_factory ~jobs:1 ?checkpoint ~replications:reps
-          ~seed
-          ~max_steps:((400 * n * n) + 10_000)
-          ~label:"serve-test" ~n factory
-          Algorithms.gathering
-      in
-      let p = Scaling.point_of m in
-      [
-        string_of_int n;
-        Table.cell_f p.Scaling.mean;
-        Table.cell_f p.Scaling.std_error;
-        Table.cell_ratio p.Scaling.success;
-      ])
-    ns
+let sweep_job ?checkpoint ~ns ~reps ~seed () =
+  {
+    Job.algo = "gathering";
+    ns;
+    reps;
+    seed;
+    source = "uniform";
+    max_steps = None;
+    batch = false;
+    stream = false;
+    checkpoint;
+  }
 
 let sweep_request ?checkpoint ~ns ~reps ~seed () =
-  Protocol.Sweep
-    {
-      algo = "gathering";
-      ns;
-      reps;
-      seed;
-      source = "uniform";
-      max_steps = None;
-      batch = false;
-      stream = false;
-      checkpoint;
-    }
+  Protocol.Sweep (sweep_job ?checkpoint ~ns ~reps ~seed ())
 
-(* Bad job parameters come back as an Error_response carrying
-   Workload.check's one-line message — the text the CLI prints — and
-   the server keeps serving. *)
+(* The same sweep offline, through the job layer doda sweep uses. *)
+let offline_sweep_cells ?checkpoint ~ns ~reps ~seed () =
+  let rows = ref [] in
+  let on_point ~n:_ cells = rows := cells :: !rows in
+  match
+    Doda_sim.Pool.with_pool ~jobs:1 (fun pool ->
+        Job.sweep ~pool ~on_point (sweep_job ?checkpoint ~ns ~reps ~seed ()))
+  with
+  | Job.Done _ -> List.rev !rows
+  | Job.Interrupted _ -> Alcotest.fail "offline sweep interrupted"
+
+(* Bad job parameters come back as an Error_response carrying Job's
+   one-line message — the text the CLI prints — and the server keeps
+   serving. *)
 let test_serve_bad_job_parameters () =
   let expect label req msg endpoint =
     let c = Client.connect endpoint in
@@ -671,20 +679,37 @@ let test_serve_bad_job_parameters () =
         | other ->
             Alcotest.fail (Json.to_string (Protocol.response_to_json other)))
   in
-  let check_error ?reps source ~n ~sink =
-    match Workload.check ?reps source ~n ~sink with
-    | Error msg -> msg
-    | Ok () -> Alcotest.fail "Workload.check accepted a bad job"
+  let job_error job =
+    match job () with
+    | _ -> Alcotest.fail "Job accepted a bad job"
+    | exception Job.Rejected msg -> msg
+  in
+  let run_error (r : Job.run) = job_error (fun () -> Job.run r) in
+  let base =
+    match run_request () with Protocol.Run r -> r | _ -> assert false
+  in
+  let bad_runs =
+    [
+      ("unknown algorithm", { base with algo = "nope" });
+      ("bad source", { base with source = "nope" });
+      ("bad problem", { base with problem = Some "gossip:x" });
+      ("waiting-greedy --stream", { base with algo = "waiting-greedy"; stream = true });
+    ]
   in
   let tel, () =
     with_server (fun _srv endpoint ->
-        expect "run -n 1" (run_request ~n:1 ())
-          (check_error Workload.Uniform ~n:1 ~sink:0)
+        expect "run -n 1" (run_request ~n:1 ()) (run_error { base with n = 1 })
           endpoint;
         expect "sweep --reps 0"
           (sweep_request ~ns:[ 8 ] ~reps:0 ~seed:1 ())
-          (check_error ~reps:0 Workload.Uniform ~n:8 ~sink:0)
+          (job_error (fun () ->
+               Doda_sim.Pool.with_pool ~jobs:1 (fun pool ->
+                   Job.sweep ~pool ~on_point:(fun ~n:_ _ -> ())
+                     (sweep_job ~ns:[ 8 ] ~reps:0 ~seed:1 ()))))
           endpoint;
+        List.iter
+          (fun (label, r) -> expect label (Protocol.Run r) (run_error r) endpoint)
+          bad_runs;
         let c = Client.connect endpoint in
         (match Client.run_job c (run_request ()) with
         | Ok responses -> (
@@ -694,7 +719,8 @@ let test_serve_bad_job_parameters () =
         | Error e -> Alcotest.fail e);
         Client.close c)
   in
-  Alcotest.(check int) "bad jobs count as failed" 2
+  Alcotest.(check int) "bad jobs count as failed"
+    (2 + List.length bad_runs)
     (counter_value tel "serve.failed")
 
 (* A long-lived server keeps nothing per finished connection: hundreds
@@ -841,13 +867,7 @@ let test_serve_drain_on_sigterm_checkpoints () =
     (counter_value tel "serve.accepted");
   (* the flushed checkpoint resumes under the offline sweep: same key,
      same slots, bit-identical table *)
-  let key =
-    Workload.sweep_checkpoint_key ~batch:false ~algo:"gathering"
-      ~source:Workload.Uniform ~ns ~reps ~seed ~max_steps:None
-  in
-  let cp = Checkpoint.create ~path:ckpt ~key in
-  let resumed = offline_sweep_cells ~cp ~ns ~reps ~seed () in
-  Checkpoint.close cp;
+  let resumed = offline_sweep_cells ~checkpoint:ckpt ~ns ~reps ~seed () in
   let baseline = offline_sweep_cells ~ns ~reps ~seed () in
   Alcotest.(check (list (list string))) "resumed offline = uninterrupted"
     baseline resumed;
