@@ -165,6 +165,8 @@ let handle_classify ~job ~ic ~send ~cancelled (c : P.classify_req) =
   let u = c.P.upload in
   let reader = upload_reader ic in
   let seq =
+    (* a line the trace reader refuses rejects the job with its message *)
+    Job.reading @@ fun () ->
     Fun.protect ~finally:reader.drain (fun () ->
         let gen = Trace.stream_lines ~length:u.length reader.next_line in
         let check = cancel_check ~cancelled in

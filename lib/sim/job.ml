@@ -2,6 +2,7 @@ module Prng = Doda_prng.Prng
 module Schedule = Doda_dynamic.Schedule
 module Sequence = Doda_dynamic.Sequence
 module Trace = Doda_dynamic.Trace
+module Interaction = Doda_dynamic.Interaction
 module Tvg_class = Doda_dynamic.Tvg_class
 module Algorithm = Doda_core.Algorithm
 module Algorithms = Doda_core.Algorithms
@@ -67,10 +68,8 @@ let problem ~sink p =
   | Ok p -> p
   | Error e -> reject "bad problem: %s" e
 
-let check ?reps source ~n ~sink =
-  match Workload.check ?reps source ~n ~sink with
-  | Ok () -> ()
-  | Error msg -> raise (Rejected msg)
+let ok = function Ok x -> x | Error msg -> raise (Rejected msg)
+let check ?reps source ~n ~sink = ok (Workload.check ?reps source ~n ~sink)
 
 (* The knowledge an algorithm requires must be one the job's schedule
    can give (Knowledge.for_schedule): meet times and the full schedule
@@ -109,10 +108,30 @@ let build ?telemetry ~stream source ~n ~sink ~seed =
   let build () = Workload.schedule ?telemetry ~stream source ~n ~sink ~seed in
   if Workload.is_finite source then reading build else build ()
 
-let schedule ?telemetry ?(stream = false) s ~n ~sink ~seed =
+let schedule s ~n ~sink ~seed =
   let source = source s in
   check source ~n ~sink;
-  build ?telemetry ~stream source ~n ~sink ~seed
+  build ~stream:false source ~n ~sink ~seed
+
+(* An upload is a trace file that arrives streamed with its node count
+   in its header, so the trace file's sink rule applies before any line
+   is read. A line the trace reader refuses, or one naming a node the
+   header does not declare, rejects the job when the engine reaches
+   it. *)
+let upload_schedule (u : upload) ~n ~sink lines =
+  let n = ok (Workload.trace_node_count ~n ~sink ~nodes:u.nodes) in
+  let gen = Trace.stream_lines ~length:u.length lines in
+  let gen t =
+    match gen t with
+    | i when Interaction.v i < n -> i
+    | i ->
+        reject
+          "upload: interaction %d names node %d, but its header declares %d \
+           nodes"
+          t (Interaction.v i) n
+    | exception (Failure msg | Invalid_argument msg) -> raise (Rejected msg)
+  in
+  reading (fun () -> Schedule.of_fun_chunked ~length:u.length ~n ~sink gen)
 
 (* --- runs ------------------------------------------------------------ *)
 
@@ -121,39 +140,34 @@ type outcome =
   | Disseminated of Problem.t * Gossip.result
 
 let run ?(telemetry = Instrument.disabled) ?record ?on_step ?lines (r : run) =
+  (* An upload's header gives the job its n. *)
+  let n = match r.upload with Some u -> u.nodes | None -> r.n in
   let problem = problem ~sink:r.sink r.problem in
   (* Gossip has no per-algorithm strategy: both endpoints always
      exchange everything they know. *)
   let algo =
     match problem with
-    | Problem.Aggregation _ -> Some (algorithm ~n:r.n r.algo)
+    | Problem.Aggregation _ -> Some (algorithm ~n r.algo)
     | Problem.Dissemination _ -> None
   in
-  (* An upload is checked as a trace file that arrives streamed: it
-     widens n to fit its nodes. *)
   let source, stream =
     match r.upload with
     | None -> (source r.source, r.stream)
     | Some _ -> (Workload.Trace_file "upload", true)
   in
-  check source ~n:r.n ~sink:r.sink;
+  check source ~n ~sink:r.sink;
   Option.iter (require ~name:r.algo ~batch:false ~stream source) algo;
   let sched =
     match (r.upload, lines) with
-    | None, _ ->
-        build ~telemetry ~stream source ~n:r.n ~sink:r.sink ~seed:r.seed
-    | Some u, Some lines ->
-        Schedule.of_fun_chunked ~length:u.length
-          ~n:(max u.nodes (r.sink + 1))
-          ~sink:r.sink
-          (Trace.stream_lines ~length:u.length lines)
+    | None, _ -> build ~telemetry ~stream source ~n ~sink:r.sink ~seed:r.seed
+    | Some u, Some lines -> upload_schedule u ~n ~sink:r.sink lines
     | Some _, None -> invalid_arg "Job.run: an upload job needs its lines"
   in
   let max_steps =
     match (r.max_steps, Schedule.length sched) with
     | Some m, _ -> Some m
     | None, Some _ -> None
-    | None, None -> Some ((200 * r.n * r.n) + 10_000)
+    | None, None -> Some ((200 * n * n) + 10_000)
   in
   let stepping observer =
     match on_step with

@@ -10,7 +10,9 @@
     with the same one-line message whichever front end submitted it:
     an unknown algorithm, source or problem, a parameter
     {!Workload.check} refuses, knowledge the schedule cannot give the
-    algorithm, or a trace file that cannot be read. *)
+    algorithm, or a trace file that cannot be read. An upload arrives
+    while its job runs, so a line it cannot use raises {!Rejected}
+    when the engine reaches it. *)
 
 exception Rejected of string
 (** The one-line reason a job cannot run. *)
@@ -51,9 +53,9 @@ type run = {
       (** {!Doda_core.Problem} syntax; [None] is {!default_problem} *)
   stream : bool;
   upload : upload option;
-      (** a trace streamed in by the caller instead of [source]: n is
-          its node count (widened to fit the sink), and its lines come
-          from [run]'s [lines] *)
+      (** a trace streamed in by the caller instead of [source]: its
+          node count replaces [n], the sink must be below it, and its
+          lines come from [run]'s [lines] *)
 }
 
 type sweep = {
@@ -79,18 +81,17 @@ val algorithm : n:int -> string -> Doda_core.Algorithm.t
     @raise Rejected on an unknown name. *)
 
 val schedule :
-  ?telemetry:Doda_obs.Instrument.t -> ?stream:bool -> string -> n:int ->
-  sink:int -> seed:int -> Doda_dynamic.Schedule.t
+  string -> n:int -> sink:int -> seed:int -> Doda_dynamic.Schedule.t
 (** [schedule source ~n ~sink ~seed] parses [source], checks it with
-    {!Workload.check}, then builds it with {!Workload.schedule} (which
-    opens the ["workload/<source>"] span).
+    {!Workload.check}, then builds it, unstreamed, with
+    {!Workload.schedule}.
     @raise Rejected on a bad source or parameter, or a trace file that
     cannot be read. *)
 
 val reading : (unit -> 'a) -> 'a
-(** [reading f] runs [f], a read of a trace or job file: [Sys_error],
-    [Failure] and [Invalid_argument] become {!Rejected} with the
-    exception's own message. *)
+(** [reading f] runs [f], a read of a trace file, an upload or a job
+    file: [Sys_error], [Failure] and [Invalid_argument] become
+    {!Rejected} with the exception's own message. *)
 
 (** {1 Runs} *)
 
@@ -109,7 +110,10 @@ val run :
     schedule with the full result. [on_step] is called after every
     interaction (a cancellation poll may raise from it). [lines]
     supplies an upload's trace lines, [None] at the end.
-    @raise Rejected as described at the top.
+    @raise Rejected as described at the top: for an upload, also a
+    malformed line, a node id not below the header's node count, or
+    fewer lines than the header declares, each with its one-line
+    message.
     @raise Invalid_argument when the job has an upload but no
     [lines]. *)
 

@@ -86,6 +86,15 @@ let check ?reps t ~n ~sink =
         (2 * (n - 1))
   | _ -> Ok ()
 
+let trace_node_count ~n ~sink ~nodes =
+  let n = Stdlib.max n nodes in
+  if sink < n then Ok n
+  else
+    Error
+      (Printf.sprintf
+         "sink must be < %d, the larger of n and the trace's node count, got %d"
+         n sink)
+
 let build ?(stream = false) t ~n ~sink ~seed =
   let rng = Prng.create seed in
   (* Streaming keeps the draw stream: the same generator function
@@ -109,17 +118,12 @@ let build ?(stream = false) t ~n ~sink ~seed =
   | Bounded_recurrent b ->
       wrap (Doda_dynamic.Tvg_class.gen_bounded_recurrent rng ~n ~bound:b)
   | Trace_file path ->
-      (* The trace widens n to fit its nodes; the sink must be one of
-         them, which only reading the trace tells. *)
+      (* The sink must be one of the trace's nodes, which only reading
+         the trace tells. *)
       let fit max_node =
-        let n = Stdlib.max n (max_node + 1) in
-        if sink >= n then
-          failwith
-            (Printf.sprintf
-               "sink must be < %d, the larger of n and the trace's node \
-                count, got %d"
-               n sink);
-        n
+        match trace_node_count ~n ~sink ~nodes:(max_node + 1) with
+        | Ok n -> n
+        | Error msg -> failwith msg
       in
       if stream then begin
         let gen, length, max_node = Trace.stream path in

@@ -50,12 +50,20 @@ val is_finite : t -> bool
 (** True only for [Trace_file]. *)
 
 val check : ?reps:int -> t -> n:int -> sink:int -> (unit, string) result
-(** The job-parameter check, run by {!Job} before anything is built: [0 <= sink < n] with [2 <= n] within
-    the packed-interaction limit for generated sources (a trace file
-    widens [n] to fit its nodes, so only [sink >= 0] is checked), the
+(** The job-parameter check, run by {!Job} before anything is built:
+    [0 <= sink < n] with [2 <= n] within the packed-interaction limit
+    for generated sources (a trace file widens [n] to fit its nodes,
+    so only [sink >= 0] is checked), the
     [t-interval] window ([1] or [>= n - 1]) and the
     [bounded-recurrent] bound ([>= 2 * (n - 1)]), and [reps >= 1] when
     given. The [Error] side is a one-line message. *)
+
+val trace_node_count : n:int -> sink:int -> nodes:int -> (int, string) result
+(** The node count of a schedule over a trace of [nodes] nodes for a
+    job of [n] nodes: the larger of the two, since the trace widens
+    [n] to fit its nodes. The [Error] side is the one-line message for
+    a [sink] not below it. {!schedule} applies it to a trace file once
+    read, {!Job} to an upload's header. *)
 
 val sweep_checkpoint_key :
   batch:bool -> algo:string -> source:t -> ns:int list -> reps:int ->

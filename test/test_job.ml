@@ -1,8 +1,9 @@
 (* The job layer shared by the CLI and doda serve: a job that cannot
    run raises Job.Rejected with its one-line message — never another
-   exception — before anything runs, and the jobs next to the rejected
-   ones still run. Messages are pinned verbatim: both front ends print
-   or send exactly these texts. *)
+   exception — before anything runs (an upload's lines as they are
+   read), and the jobs next to the rejected ones still run. Messages
+   are pinned verbatim: both front ends print or send exactly these
+   texts. *)
 
 module Job = Doda_sim.Job
 module Trace = Doda_dynamic.Trace
@@ -114,6 +115,24 @@ let test_rejected () =
       ( "upload run -a tree",
         upload_job (run ~algo:"tree" ?upload ()) upload_lines,
         in_memory "tree" "underlying graph" );
+      (* uploads: the trace file's sink rule, then each line as read *)
+      ( "upload run --sink 8 over 8 nodes",
+        upload_job (run ~n:32 ~sink:8 ?upload ()) upload_lines,
+        "sink must be < 8, the larger of n and the trace's node count, got 8" );
+      ( "upload run of one node",
+        upload_job (run ~upload:{ Job.nodes = 1; length = 0 } ()) [],
+        "Schedule: need at least two nodes" );
+      ( "upload run, malformed line",
+        upload_job (run ?upload ()) [ "0 0 1"; "not a line" ], malformed );
+      ( "upload run, self-interaction",
+        upload_job (run ?upload ()) [ "0 0 1"; "1 2 2" ],
+        "Interaction.make: self-interaction" );
+      ( "upload run, node beyond the header",
+        upload_job (run ?upload ()) [ "0 0 1"; "1 1 8" ],
+        "upload: interaction 1 names node 8, but its header declares 8 nodes" );
+      ( "upload run, short upload",
+        upload_job (run ?upload ()) [ "0 0 1" ],
+        "Trace.stream_lines: input ended at interaction 1 of 2" );
       (* the sink against the trace's node count *)
       ( "run -s trace:F --sink 40",
         run_job (run ~n:32 ~sink:40 ~source:("trace:" ^ t8) ()),
@@ -174,6 +193,10 @@ let test_accepted () =
       ( "upload run -a gathering",
         upload_job
           (run ~upload:{ Job.nodes = 3; length = 2 } ())
+          [ "0 0 1"; "1 1 2" ] );
+      ( "upload run --sink 2 over 3 nodes",
+        upload_job
+          (run ~n:2 ~sink:2 ~upload:{ Job.nodes = 3; length = 2 } ())
           [ "0 0 1"; "1 1 2" ] );
     ]
 

@@ -666,9 +666,9 @@ let offline_sweep_cells ?checkpoint ~ns ~reps ~seed () =
    one-line message — the text the CLI prints — and the server keeps
    serving. *)
 let test_serve_bad_job_parameters () =
-  let expect label req msg endpoint =
+  let expect ?trace_file label req msg endpoint =
     let c = Client.connect endpoint in
-    let r = Client.run_job c req in
+    let r = Client.run_job c ?trace_file req in
     Client.close c;
     match r with
     | Error e -> Alcotest.fail e
@@ -696,9 +696,33 @@ let test_serve_bad_job_parameters () =
       ("waiting-greedy --stream", { base with algo = "waiting-greedy"; stream = true });
     ]
   in
+  (* A malformed upload: the trace reader refuses its second line. *)
+  let bad_lines = [ "0 0 1"; "x" ] in
+  let bad_trace = temp_path ".trace" in
+  Out_channel.with_open_bin bad_trace (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) bad_lines);
+  let upload = { Job.nodes = 8; length = 2 } in
+  let bad_upload = { base with upload = Some upload } in
+  let upload_error =
+    let rest = ref bad_lines in
+    let next () =
+      match !rest with
+      | [] -> None
+      | l :: tl ->
+          rest := tl;
+          Some l
+    in
+    job_error (fun () -> Job.run ~lines:next bad_upload)
+  in
   let tel, () =
     with_server (fun _srv endpoint ->
         expect "run -n 1" (run_request ~n:1 ()) (run_error { base with n = 1 })
+          endpoint;
+        expect "malformed upload run" ~trace_file:bad_trace
+          (Protocol.Run bad_upload) upload_error endpoint;
+        expect "malformed upload classify" ~trace_file:bad_trace
+          (Protocol.Classify { window = None; bound = None; upload })
+          (job_error (fun () -> Job.reading (fun () -> Trace.load bad_trace)))
           endpoint;
         expect "sweep --reps 0"
           (sweep_request ~ns:[ 8 ] ~reps:0 ~seed:1 ())
@@ -719,8 +743,9 @@ let test_serve_bad_job_parameters () =
         | Error e -> Alcotest.fail e);
         Client.close c)
   in
+  Sys.remove bad_trace;
   Alcotest.(check int) "bad jobs count as failed"
-    (2 + List.length bad_runs)
+    (4 + List.length bad_runs)
     (counter_value tel "serve.failed")
 
 (* A long-lived server keeps nothing per finished connection: hundreds
