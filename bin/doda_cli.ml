@@ -23,11 +23,9 @@ module Gossip = Doda_core.Gossip
 module Validate = Doda_core.Validate
 module Convergecast = Doda_core.Convergecast
 module Cost = Doda_core.Cost
-module Knowledge = Doda_core.Knowledge
 module Algorithms = Doda_core.Algorithms
 module Theory = Doda_core.Theory
 module Duel = Doda_adversary.Duel
-module Counterexamples = Doda_adversary.Counterexamples
 module Table = Doda_sim.Table
 module Instrument = Doda_obs.Instrument
 module Metrics = Doda_obs.Metrics
@@ -203,24 +201,13 @@ let run_cmd =
 let duel_cmd =
   let duel algo_name which horizon n_opt =
     rejecting @@ fun () ->
-    let adv, n, knowledge =
-      match which with
-      | "thm1" -> (Counterexamples.theorem1 (), Counterexamples.theorem1_nodes, None)
-      | "thm3" ->
-          ( Counterexamples.theorem3 (),
-            Counterexamples.theorem3_nodes,
-            Some
-              (Knowledge.with_underlying (Counterexamples.theorem3_graph ())
-                 Knowledge.empty) )
-      | "spiteful" ->
-          (Doda_adversary.Spiteful.adversary ~n:n_opt ~sink:0, n_opt, None)
-      | other ->
-          Printf.eprintf "unknown adversary %S; known: thm1, thm3, spiteful\n" other;
-          exit 2
+    let d = Job.duel ~adversary:which ~n:n_opt algo_name in
+    let n = d.nodes in
+    let result, played =
+      Duel.run ?knowledge:d.knowledge ~max_steps:horizon ~n ~sink:0 d.algorithm
+        d.adversary
     in
-    let algo = Job.algorithm ~n algo_name in
-    let result, played = Duel.run ?knowledge ~max_steps:horizon ~n ~sink:0 algo adv in
-    Format.printf "adversary: %s (n=%d)@." adv.Doda_adversary.Adversary.name n;
+    Format.printf "adversary: %s (n=%d)@." d.adversary.Doda_adversary.Adversary.name n;
     Format.printf "%a@." Engine.pp_result result;
     let possible = Cost.convergecasts_within ~n ~sink:0 played ~upto:(horizon - 1) in
     Format.printf "optimal convergecasts possible meanwhile: %d@." possible;

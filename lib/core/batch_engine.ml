@@ -1,12 +1,8 @@
 module Schedule = Doda_dynamic.Schedule
-module Sequence = Doda_dynamic.Sequence
 module Interaction = Doda_dynamic.Interaction
 module Prng = Doda_prng.Prng
 
-(* Native ints carry 63 usable bits (the 64th is the tag); Int64 planes
-   would box on every load without flambda, so one word packs 63
-   replications and the sign bit is just bit 62 of the plane. *)
-let word_bits = 63
+let word_bits = Bit_planes.word_bits
 
 type stats = { mutable decodes : int; mutable lane_steps : int }
 
@@ -25,54 +21,6 @@ let ntz b =
   if !b land 0x3 = 0 then (n := !n + 2; b := !b lsr 2);
   if !b land 0x1 = 0 then incr n;
   !n
-
-(* [k] low bits set; [-1] is all 63 ones. *)
-let mask_of k = if k >= word_bits then -1 else (1 lsl k) - 1
-
-(* Same limit rule as [Engine.run]. *)
-let limit_for ?max_steps schedule ~what =
-  match (max_steps, Schedule.length schedule) with
-  | Some m, Some len -> Stdlib.min m len
-  | Some m, None -> m
-  | None, Some len -> len
-  | None, None ->
-      invalid_arg (what ^ ": max_steps is mandatory for unbounded schedules")
-
-(* Same stop-reason rule as [Engine.run]: the clock is compared against
-   the schedule length, not the effective limit, so [max_steps = len]
-   still reports exhaustion. *)
-let stop_for schedule ~final_clock ~aggregated =
-  if aggregated then Engine.All_aggregated
-  else
-    match Schedule.length schedule with
-    | Some len when final_clock >= len -> Engine.Schedule_exhausted
-    | Some _ | None -> Engine.Step_limit
-
-(* Decode closure shared by the lockstep loops. Frozen/finite
-   schedules read the flat backing directly. Chunked schedules cache
-   the current block view, so the per-step cost is one bounds check
-   and the advance (with its forward-only/length guards, and under
-   prefetch the buffer swap) runs once per block. The cached array is
-   only read for times inside its window, and the loops decode at
-   monotonically increasing t, so by the time a swapped-out buffer is
-   reused by the producer the consumer has already re-viewed — stale
-   reads cannot happen. Everything else goes through a stepper. *)
-let decoder schedule ~backing ~stp =
-  match backing with
-  | Some seq -> fun t -> Sequence.unsafe_get seq t
-  | None when Schedule.is_chunked schedule ->
-      let blk = ref [||] and base = ref 0 and hi = ref 0 in
-      fun t ->
-        if t >= !hi || t < !base then begin
-          let b, off, avail = Schedule.chunk_view schedule t in
-          blk := b;
-          base := t - off;
-          hi := t + avail
-        end;
-        Interaction.of_int_unchecked (Array.unsafe_get !blk (t - !base))
-  | None ->
-      let stp = Option.get stp in
-      fun t -> Schedule.stepper_get stp t
 
 (* ------------------------------------------------------------------ *)
 (* Lockstep algorithm sweep: one lane per rival, packed into one word. *)
@@ -124,7 +72,7 @@ let sweep_chunk ~limit ~record ~stats algos schedule =
     kinds;
   let meet_mask = !meet_mask in
   let generics = Array.of_list (List.rev !generics) in
-  let full = mask_of l in
+  let full = Bit_planes.word_mask ~bits:l 0 in
   (* planes.(v) bit [lane]: node [v] still holds data in that lane. *)
   let planes = Array.make n full in
   let live = ref (if n > target then full else 0) in
@@ -138,16 +86,15 @@ let sweep_chunk ~limit ~record ~stats algos schedule =
     else [||]
   in
   let lims = Array.make l 0 in
-  let backing = Schedule.backing schedule in
   let stp =
-    if backing = None || meet_mask <> 0 then Some (Schedule.stepper schedule)
-    else None
+    if meet_mask <> 0 then Some (Schedule.stepper schedule) else None
   in
-  let decode = decoder schedule ~backing ~stp in
+  let cur = Schedule.cursor schedule in
   let t = ref 0 in
   while !alive > 0 && !t < limit do
     let time = !t in
-    let i = decode time in
+    if time >= cur.hi then Schedule.advance cur time;
+    let i = Array.unsafe_get cur.blk (time - cur.base) in
     stats.decodes <- stats.decodes + 1;
     stats.lane_steps <- stats.lane_steps + !alive;
     let u = Interaction.u i and v = Interaction.v i in
@@ -274,7 +221,8 @@ let sweep_chunk ~limit ~record ~stats algos schedule =
       let aggregated = owners.(lane) = target in
       let bit = 1 lsl lane in
       {
-        Engine.stop = stop_for schedule ~final_clock ~aggregated;
+        Engine.stop =
+          Engine.stop_reason schedule ~clock:final_clock ~solved:aggregated;
         duration = (if aggregated then Some last_time.(lane) else None);
         steps = (if aggregated then last_time.(lane) + 1 else final_clock);
         log = (if record_all then logs.(lane) else Run_log.create ());
@@ -291,7 +239,7 @@ let rec split_at k = function
 
 let rec sweep ?max_steps ?(record = `All) ?(stats = fresh_stats ()) algos
     schedule =
-  let limit = limit_for ?max_steps schedule ~what:"Batch_engine.sweep" in
+  let limit = Engine.limit ?max_steps ~what:"Batch_engine.sweep" schedule in
   if List.length algos <= word_bits then
     sweep_chunk ~limit ~record ~stats algos schedule
   else
@@ -311,14 +259,13 @@ let coin_reps ~limit ~record ~stats ~rngs ~sink_only ~p schedule r =
      batch executes single-sink aggregation, whose target owner count
      is [Problem.target_owners]. *)
   let target = Problem.target_owners (Problem.aggregation ~sink) in
-  let w = (r + word_bits - 1) / word_bits in
+  let w = Bit_planes.words r in
   (* Plane word [v * w + word]: bit [b] set iff node [v] still holds
      data in replication [word * word_bits + b]. *)
   let planes = Array.make (n * w) 0 in
   let live = Array.make w 0 in
   for word = 0 to w - 1 do
-    let k = Stdlib.min word_bits (r - (word * word_bits)) in
-    let full = mask_of k in
+    let full = Bit_planes.word_mask ~bits:r word in
     if n > target then live.(word) <- full;
     for v = 0 to n - 1 do
       planes.((v * w) + word) <- full
@@ -333,9 +280,7 @@ let coin_reps ~limit ~record ~stats ~rngs ~sink_only ~p schedule r =
     if record_all then Array.init r (fun _ -> Run_log.create ~capacity:n ())
     else [||]
   in
-  let backing = Schedule.backing schedule in
-  let stp = if backing = None then Some (Schedule.stepper schedule) else None in
-  let decode = decoder schedule ~backing ~stp in
+  let cur = Schedule.cursor schedule in
   (* Commit sender [s] -> receiver [rcv] at time [t] for replication
      bit [bit] of plane word [word]. The transmit-once model bounds
      commits by [r * (n - 1)] over the whole batch. *)
@@ -364,7 +309,8 @@ let coin_reps ~limit ~record ~stats ~rngs ~sink_only ~p schedule r =
   in
   let t = ref 0 in
   while !alive > 0 && !t < limit do
-    let i = decode !t in
+    if !t >= cur.hi then Schedule.advance cur !t;
+    let i = Array.unsafe_get cur.blk (!t - cur.base) in
     stats.decodes <- stats.decodes + 1;
     stats.lane_steps <- stats.lane_steps + !alive;
     let u = Interaction.u i and v = Interaction.v i in
@@ -390,7 +336,8 @@ let coin_reps ~limit ~record ~stats ~rngs ~sink_only ~p schedule r =
       let aggregated = owners.(rep) = target in
       let word = rep / word_bits and bit = 1 lsl (rep mod word_bits) in
       {
-        Engine.stop = stop_for schedule ~final_clock ~aggregated;
+        Engine.stop =
+          Engine.stop_reason schedule ~clock:final_clock ~solved:aggregated;
         duration = (if aggregated then Some last_time.(rep) else None);
         steps = (if aggregated then last_time.(rep) + 1 else final_clock);
         log = (if record_all then logs.(rep) else Run_log.create ());
@@ -414,7 +361,7 @@ let run_reps ?max_steps ?(record = `All) ?rngs ?(stats = fresh_stats ())
               (Experiment.replicate_par)"
              algo.name)
   in
-  let limit = limit_for ?max_steps schedule ~what:"Batch_engine.run_reps" in
+  let limit = Engine.limit ?max_steps ~what:"Batch_engine.run_reps" schedule in
   let coin ~sink_only p =
     match rngs with
     | Some a when Array.length a >= r ->

@@ -14,7 +14,7 @@
     the coin rules draw per replication, from per-replication streams
     ([rngs]); they run
     bit-parallel, with per-node holder sets stored as bit planes —
-    {!word_bits} replications per native word — so the "do both
+    {!Bit_planes.word_bits} replications per native word — so the "do both
     endpoints still hold data?" test for a whole word of replications
     is two loads and an [land]. Per-replication work happens only on
     coin draws and actual transmissions, which the transmit-once model
@@ -35,22 +35,18 @@
     same PRNG draw sequences (a differential test enforces this per
     algorithm).
 
-    {b Schedule forms.} Frozen/finite schedules decode straight off
-    the flat backing. Chunked (streamed) schedules are first-class:
-    the loops read through a cached
-    {!Doda_dynamic.Schedule.chunk_view}, so each block is generated
-    once and drained by every lane before the ring recycles it —
-    memory stays O(block), never O(T). The chunked pass must run on a
-    single consumer domain (parallelism comes from the lanes, and
+    {b Schedule forms.} Both loops read every form — finite, frozen,
+    generator and chunked — through one
+    {!Doda_dynamic.Schedule.cursor}, the scalar engine's read path: a
+    generator is materialised exactly as far as the pass reads (meet
+    probes may materialise further), and a chunked (streamed) block is
+    generated once and drained by every lane before the ring recycles
+    it — memory stays O(block), never O(T). The chunked pass must run
+    on a single consumer domain (parallelism comes from the lanes, and
     optionally from a pipelined producer via
     {!Doda_dynamic.Schedule.chunk_prefetch}). Meet-time policies are
     the exception: their oracle needs replay, which a chunked
     schedule refuses by design. *)
-
-val word_bits : int
-(** Replications packed per bit-plane word: 63, the width of OCaml's
-    native [int] (the issue's nominal 64 loses one bit to the tag;
-    [Int64] planes would box without flambda). *)
 
 (** {1 Occupancy statistics} *)
 
@@ -138,8 +134,8 @@ val sweep :
     created in list order before the pass begins, which matches the
     split order of consecutive scalar runs.
 
-    More than {!word_bits} algorithms are processed in chunks of
-    {!word_bits} (each chunk is its own lockstep pass).
+    More than {!Bit_planes.word_bits} algorithms are processed in
+    chunks of that many (each chunk is its own lockstep pass).
 
     Safety: a sweep over a live (unfrozen) schedule materialises it
     and must stay confined to one domain, like any live-schedule user;

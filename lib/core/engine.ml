@@ -20,14 +20,83 @@ type result = {
 
 let transmissions r = Run_log.to_list r.log
 
-type observer = {
+(* Observer plumbing, polymorphic in the result a run packages, so the
+   gossip run-core shares it. *)
+type 'r watch = {
   obs_step : (time:int -> Interaction.t -> unit) option;
   obs_transmit : (time:int -> sender:int -> receiver:int -> unit) option;
-  obs_finish : (result -> unit) option;
+  obs_finish : ('r -> unit) option;
 }
 
-let observer ?on_step ?on_transmit ?on_finish () =
+type observer = result watch
+
+let watch ?on_step ?on_transmit ?on_finish () =
   { obs_step = on_step; obs_transmit = on_transmit; obs_finish = on_finish }
+
+let observer = watch
+
+type 'r watchers = {
+  step_obs : (time:int -> Interaction.t -> unit) array;
+  transmit_obs : (time:int -> sender:int -> receiver:int -> unit) array;
+  finish_obs : ('r -> unit) array;
+  has_step_obs : bool;
+      (* [Array.length step_obs > 0], precomputed: a run-core tests one
+         immutable bool per interaction, so the no-observer hot path
+         stays branch-predictable and allocation-free. *)
+}
+
+let watchers observers =
+  let step_obs =
+    Array.of_list (List.filter_map (fun o -> o.obs_step) observers)
+  in
+  {
+    step_obs;
+    transmit_obs =
+      Array.of_list (List.filter_map (fun o -> o.obs_transmit) observers);
+    finish_obs =
+      Array.of_list (List.filter_map (fun o -> o.obs_finish) observers);
+    has_step_obs = Array.length step_obs > 0;
+  }
+
+(* Out of line so the run-cores' step functions stay small: only
+   called when an observer of the matching kind is installed. *)
+let notify_step ws ~t i =
+  let obs = ws.step_obs in
+  for k = 0 to Array.length obs - 1 do
+    (Array.unsafe_get obs k) ~time:t i
+  done
+
+let notify_transmit ws ~t ~sender ~receiver =
+  let obs = ws.transmit_obs in
+  for k = 0 to Array.length obs - 1 do
+    (Array.unsafe_get obs k) ~time:t ~sender ~receiver
+  done
+
+let notify_finish ws r =
+  let obs = ws.finish_obs in
+  for k = 0 to Array.length obs - 1 do
+    (Array.unsafe_get obs k) r
+  done;
+  r
+
+(* The run bounds of every run-core: the budget is [max_steps] capped
+   by a finite schedule's length, and the clock is compared against the
+   length, not the budget, so [max_steps = len] still reports
+   exhaustion. *)
+let limit ?max_steps ~what schedule =
+  match (max_steps, Schedule.length schedule) with
+  | Some m, Some len -> Stdlib.min m len
+  | Some m, None -> m
+  | None, Some len -> len
+  | None, None ->
+      invalid_arg (what ^ ": max_steps is mandatory for unbounded schedules")
+
+let stop_reason schedule ~clock ~solved =
+  if solved then All_aggregated
+  else
+    match Schedule.length schedule with
+    | Some len when clock >= len -> Schedule_exhausted
+    | Some _ | None -> Step_limit
 
 type state = {
   algo_name : string;
@@ -41,13 +110,7 @@ type state = {
          interaction. *)
   record_log : bool;
   holds : bool array;
-  step_obs : (time:int -> Interaction.t -> unit) array;
-  transmit_obs : (time:int -> sender:int -> receiver:int -> unit) array;
-  finish_obs : (result -> unit) array;
-  has_step_obs : bool;
-      (* [Array.length step_obs > 0], precomputed: the run-core tests
-         one immutable bool per interaction, so the no-observer hot
-         path stays branch-predictable and allocation-free. *)
+  obs : result watchers;
   log : Run_log.t;
   mutable owner_count : int;
   mutable clock : int;
@@ -58,9 +121,6 @@ type state = {
 }
 
 let make_state ~algo_name ~instance ~problem ~record ~observers ~source ~n =
-  let step_obs =
-    Array.of_list (List.filter_map (fun o -> o.obs_step) observers)
-  in
   let holds = Problem.initial_holders problem ~n in
   let owner_count =
     Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 holds
@@ -74,12 +134,7 @@ let make_state ~algo_name ~instance ~problem ~record ~observers ~source ~n =
     target = Problem.target_owners problem;
     record_log = (record = `All);
     holds;
-    step_obs;
-    transmit_obs =
-      Array.of_list (List.filter_map (fun o -> o.obs_transmit) observers);
-    finish_obs =
-      Array.of_list (List.filter_map (fun o -> o.obs_finish) observers);
-    has_step_obs = Array.length step_obs > 0;
+    obs = watchers observers;
     (* Transmit-once bounds a run's transmissions by [n - 1], so the
        log never reallocates mid-run. *)
     log = Run_log.create ~capacity:n ();
@@ -141,20 +196,6 @@ let commit st ~t ~i receiver =
   st.last_receiver <- receiver;
   sender
 
-(* Out of line so [exec_step] stays small: only runs when an observer
-   of the matching kind is installed. *)
-let notify_step st ~t i =
-  let obs = st.step_obs in
-  for k = 0 to Array.length obs - 1 do
-    (Array.unsafe_get obs k) ~time:t i
-  done
-
-let notify_transmit st ~t ~sender ~receiver =
-  let obs = st.transmit_obs in
-  for k = 0 to Array.length obs - 1 do
-    (Array.unsafe_get obs k) ~time:t ~sender ~receiver
-  done
-
 (* The run-core: process interaction [i] at time [t]. Every execution —
    schedule-backed [run], adversary-backed [run_state], and the manual
    [step] API — goes through this one function, so model enforcement
@@ -170,9 +211,9 @@ let[@inline] exec_step st (instance : Algorithm.instance) holds ~t i =
      | Some receiver ->
          let sender = commit st ~t ~i receiver in
          if st.record_log then Run_log.add st.log ~time:t ~sender ~receiver;
-         if Array.length st.transmit_obs > 0 then
-           notify_transmit st ~t ~sender ~receiver);
-  if st.has_step_obs then notify_step st ~t i;
+         if Array.length st.obs.transmit_obs > 0 then
+           notify_transmit st.obs ~t ~sender ~receiver);
+  if st.obs.has_step_obs then notify_step st.obs ~t i;
   st.clock <- t + 1
 
 let step st =
@@ -213,7 +254,7 @@ let last_transmission st =
 let transmissions_so_far st = Run_log.to_list st.log
 
 let finish st stop =
-  let result =
+  notify_finish st.obs
     {
       stop;
       duration = (if stop = All_aggregated then Some st.last_time else None);
@@ -222,66 +263,24 @@ let finish st stop =
       transmission_count = st.tx_count;
       holders = Array.copy st.holds;
     }
-  in
-  let obs = st.finish_obs in
-  for k = 0 to Array.length obs - 1 do
-    (Array.unsafe_get obs k) result
-  done;
-  result
 
 let run ?knowledge ?max_steps ?record ?observers (algo : Algorithm.t) schedule =
-  let limit =
-    match (max_steps, Schedule.length schedule) with
-    | Some m, Some len -> Stdlib.min m len
-    | Some m, None -> m
-    | None, Some len -> len
-    | None, None ->
-        invalid_arg "Engine.run: max_steps is mandatory for unbounded schedules"
-  in
+  let limit = limit ?max_steps ~what:"Engine.run" schedule in
   let st = start ?knowledge ?record ?observers algo schedule in
   (* Hot loop. Equivalent to iterating [step], but without the
      per-interaction [Stepped]/[option] wrappers: [clock < limit]
      guarantees the schedule has an interaction at [clock] (finite
      schedules because [limit <= length]; generators never run out). *)
   let instance = st.instance and holds = st.holds in
-  (match Schedule.backing schedule with
-  | Some seq ->
-      (* Finite or frozen: [limit <= length], so iterate the backing
-         flat packed int array directly — no per-step dispatch. *)
-      while st.owner_count > st.target && st.clock < limit do
-        let t = st.clock in
-        exec_step st instance holds ~t (Doda_dynamic.Sequence.unsafe_get seq t)
-      done
-  | None when Schedule.is_chunked schedule ->
-      (* Chunked: drain the hot block with a flat inner loop — the
-         only per-step work beyond [exec_step] is one array read — and
-         pay the refill once per block via [chunk_view]. *)
-      while st.owner_count > st.target && st.clock < limit do
-        let block, off, avail = Schedule.chunk_view schedule st.clock in
-        let base = st.clock in
-        let stop = Stdlib.min limit (base + avail) in
-        while st.owner_count > st.target && st.clock < stop do
-          let t = st.clock in
-          exec_step st instance holds ~t
-            (Interaction.of_int_unchecked
-               (Array.unsafe_get block (off + t - base)))
-        done
-      done
-  | None ->
-      (* Generator: the allocation-free [Schedule.get_exn] materialises
-         as it goes. *)
-      while st.owner_count > st.target && st.clock < limit do
-        let t = st.clock in
-        exec_step st instance holds ~t (Schedule.get_exn schedule t)
-      done);
-  let reason =
-    if st.owner_count <= st.target then All_aggregated
-    else
-      match Schedule.length schedule with
-      | Some len when st.clock >= len -> Schedule_exhausted
-      | Some _ | None -> Step_limit
-  in
-  finish st reason
+  let cur = Schedule.cursor schedule in
+  while st.owner_count > st.target && st.clock < limit do
+    let t = st.clock in
+    if t >= cur.hi then Schedule.advance cur t;
+    exec_step st instance holds ~t (Array.unsafe_get cur.blk (t - cur.base))
+  done;
+  finish st
+    (stop_reason schedule ~clock:st.clock
+       ~solved:(st.owner_count <= st.target))
 
 let run_state st ~max_steps =
   let instance = st.instance and holds = st.holds in

@@ -52,9 +52,25 @@ val transmissions : result -> transmission list
     live validation, metric counters. All three callbacks are
     optional; an engine with no step observers pays one boolean test
     per interaction, so the [`Count] measurement path stays
-    allocation-free. *)
+    allocation-free. The plumbing is polymorphic in the result a run
+    packages: {!Gossip}'s observers are [Gossip.result watch]. *)
 
-type observer
+type 'r watch
+(** An observer of a run whose result is ['r]. *)
+
+type observer = result watch
+
+val watch :
+  ?on_step:(time:int -> Doda_dynamic.Interaction.t -> unit) ->
+  ?on_transmit:(time:int -> sender:int -> receiver:int -> unit) ->
+  ?on_finish:('r -> unit) ->
+  unit ->
+  'r watch
+(** [on_step] fires after every interaction is processed (transmitting
+    or not); [on_transmit] after each committed transmission (an
+    informative transfer, under gossip); [on_finish] once, with the
+    packaged result (each time {!finish} is called, for manual
+    steppers). *)
 
 val observer :
   ?on_step:(time:int -> Doda_dynamic.Interaction.t -> unit) ->
@@ -62,10 +78,7 @@ val observer :
   ?on_finish:(result -> unit) ->
   unit ->
   observer
-(** [on_step] fires after every interaction is processed (transmitting
-    or not); [on_transmit] after each committed transmission;
-    [on_finish] once, with the packaged result (each time {!finish} is
-    called, for manual steppers). *)
+(** {!watch} for an aggregation run. *)
 
 (** {1 Whole runs} *)
 
@@ -98,6 +111,46 @@ val run :
     [max_steps] is missing for an unbounded schedule, or if the
     algorithm misbehaves (returns a non-endpoint, or makes the sink
     transmit). *)
+
+(** {1 The run-core skeleton}
+
+    What every run-core ({!run}, {!Batch_engine}, {!Gossip},
+    {!Flooding_aggregation}) shares besides the schedule cursor
+    ({!Doda_dynamic.Schedule.cursor}): one bound rule and one observer
+    plumbing. The kernels differ only in their step rule. *)
+
+val limit : ?max_steps:int -> what:string -> Doda_dynamic.Schedule.t -> int
+(** The number of interactions a run may process: [max_steps] capped by
+    a finite schedule's length, or the length alone.
+    @raise Invalid_argument, with a message that starts with [what],
+    when both are missing: an unbounded schedule needs [max_steps]. *)
+
+val stop_reason :
+  Doda_dynamic.Schedule.t -> clock:int -> solved:bool -> stop_reason
+(** Why a run that processed [clock] interactions stopped: solved, or
+    the schedule's end (the clock is compared with the schedule length,
+    not the limit, so [max_steps = len] reports exhaustion), or the
+    step limit. *)
+
+type 'r watchers = private {
+  step_obs : (time:int -> Doda_dynamic.Interaction.t -> unit) array;
+  transmit_obs : (time:int -> sender:int -> receiver:int -> unit) array;
+  finish_obs : ('r -> unit) array;
+  has_step_obs : bool;  (** [step_obs] is not empty *)
+}
+(** A run's observers as callback arrays; a kernel tests
+    [has_step_obs] inline on every step. *)
+
+val watchers : 'r watch list -> 'r watchers
+
+val notify_step :
+  'r watchers -> t:int -> Doda_dynamic.Interaction.t -> unit
+
+val notify_transmit :
+  'r watchers -> t:int -> sender:int -> receiver:int -> unit
+
+val notify_finish : 'r watchers -> 'r -> 'r
+(** Calls every [on_finish] with the result, then returns it. *)
 
 (** {1 Stepping} *)
 

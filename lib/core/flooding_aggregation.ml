@@ -1,5 +1,4 @@
 module Schedule = Doda_dynamic.Schedule
-module Sequence = Doda_dynamic.Sequence
 module Interaction = Doda_dynamic.Interaction
 
 type result = {
@@ -9,66 +8,28 @@ type result = {
   exchanges : int;
 }
 
-(* Data sets as bitsets over int arrays (n can exceed 63). *)
-let words n = (n + 62) / 63
-
-let make_sets n =
-  Array.init n (fun v ->
-      let set = Array.make (words n) 0 in
-      set.(v / 63) <- 1 lsl (v mod 63);
-      set)
-
-let union_into dst src =
-  let changed = ref false in
-  Array.iteri
-    (fun w bits ->
-      let merged = dst.(w) lor bits in
-      if merged <> dst.(w) then begin
-        dst.(w) <- merged;
-        changed := true
-      end)
-    src;
-  !changed
-
-let popcount set =
-  Array.fold_left
-    (fun acc word ->
-      let rec count w acc = if w = 0 then acc else count (w land (w - 1)) (acc + 1) in
-      count word acc)
-    0 set
-
+(* Flooding is n-token gossip, token [v] starting at node [v], that
+   stops as soon as the sink knows every token. *)
 let run ?max_steps sched =
   let n = Schedule.n sched in
   let sink = Schedule.sink sched in
-  let limit =
-    match (max_steps, Schedule.length sched) with
-    | Some m, Some len -> Stdlib.min m len
-    | Some m, None -> m
-    | None, Some len -> len
-    | None, None ->
-        invalid_arg "Flooding_aggregation.run: max_steps mandatory for generators"
-  in
-  let sets = make_sets n in
-  let sink_count = ref 1 in
+  let limit = Engine.limit ?max_steps ~what:"Flooding_aggregation.run" sched in
+  let planes = Bit_planes.tokens (Problem.dissemination ~k:n) ~n in
+  let cur = Schedule.cursor sched in
   let exchanges = ref 0 in
   let steps = ref 0 in
   let duration = ref None in
-  let exhausted = ref false in
-  while (not !exhausted) && !duration = None && !steps < limit do
-    match Schedule.get sched !steps with
-    | None -> exhausted := true
-    | Some i ->
-        let a = Interaction.u i and b = Interaction.v i in
-        let moved_ab = union_into sets.(b) sets.(a) in
-        let moved_ba = union_into sets.(a) sets.(b) in
-        if moved_ab || moved_ba then begin
-          incr exchanges;
-          if a = sink || b = sink then begin
-            sink_count := popcount sets.(sink);
-            if !sink_count = n then duration := Some !steps
-          end
-        end;
-        incr steps
+  while !duration = None && !steps < limit do
+    let t = !steps in
+    if t >= cur.hi then Schedule.advance cur t;
+    let i = Array.unsafe_get cur.blk (t - cur.base) in
+    let a = Interaction.u i and b = Interaction.v i in
+    if Bit_planes.exchange planes a b <> 0 then begin
+      incr exchanges;
+      if (a = sink || b = sink) && Bit_planes.is_full planes sink then
+        duration := Some t
+    end;
+    incr steps
   done;
   {
     completed = !duration <> None;

@@ -11,7 +11,8 @@
 
     This module simulates that unconstrained régime: every node keeps a
     set of datum ids; an interaction unions the two sets into both
-    endpoints; the run completes when the sink's set is full. The
+    endpoints; the run completes when the sink's set is full — n-token
+    gossip over {!Bit_planes}, stopped at the sink. The
     [price] bench compares it against the transmit-once algorithms:
     the gap between knowledge-free flooding (Θ(n log n)) and
     knowledge-free Gathering (Θ(n²)) is the price of single
@@ -27,7 +28,8 @@ type result = {
 val run : ?max_steps:int -> Doda_dynamic.Schedule.t -> result
 (** [run sched] floods from all nodes toward everyone and stops when
     the sink holds all [n] data. [max_steps] as in {!Engine.run}:
-    defaults to the schedule length, mandatory for generators. *)
+    defaults to the schedule length, mandatory for unbounded
+    schedules ({!Engine.limit}). *)
 
 val sink_completion :
   n:int -> sink:int -> Doda_dynamic.Sequence.t -> int option

@@ -10,11 +10,12 @@
 
     Two implementations with bit-identical results:
 
-    - {!run} tracks knowledge as {e per-token bit-planes} — the
-      lockstep batch engine's word-parallel idiom, with tokens in the
-      role replications play there: node [v]'s knowledge is
-      [ceil (k / 63)] native-int words and an exchange is one [lor]
-      per word, so cost per interaction is O(k / 63);
+    - {!run} tracks knowledge as {e per-token bit-planes}
+      ({!Bit_planes}, the layout the lockstep batch engine packs its
+      lanes in, with tokens in the role replications play there): node
+      [v]'s knowledge is [ceil (k / 63)] native-int words and an
+      exchange is one [lor] per word, so cost per interaction is
+      O(k / 63);
     - {!run_reference} is a deliberately simple dense boolean-matrix
       replay, the differential-testing oracle.
 
@@ -52,9 +53,10 @@ type result = {
       (** Number of nodes knowing all [k] tokens at the end. *)
 }
 
-(** {1 Observers} — same shape as {!Engine.observer}. *)
+(** {1 Observers} — {!Engine}'s observer plumbing, over a gossip
+    result. *)
 
-type observer
+type observer = result Engine.watch
 
 val observer :
   ?on_step:(time:int -> Doda_dynamic.Interaction.t -> unit) ->

@@ -91,22 +91,8 @@ let complete ~n ~sink s (log : Run_log.t) =
    only changes on logged transfers, so replaying the log alone
    reconstructs every node's knowledge exactly. *)
 
-let word_bits = 63
-let mask_of k = if k >= word_bits then -1 else (1 lsl k) - 1
-
-let gossip_seed ~n problem =
-  let k = Problem.tokens problem in
-  let w = (k + word_bits - 1) / word_bits in
-  let planes = Array.make (n * w) 0 in
-  for j = 0 to k - 1 do
-    let home = Problem.token_home problem ~n ~token:j in
-    planes.((home * w) + (j / word_bits)) <-
-      planes.((home * w) + (j / word_bits)) lor (1 lsl (j mod word_bits))
-  done;
-  (w, planes)
-
 let gossip ~n ~problem s (log : Run_log.t) =
-  let w, planes = gossip_seed ~n problem in
+  let planes = Bit_planes.tokens problem ~n in
   let len = Run_log.length log in
   let violations = ref [] in
   let flag v = violations := v :: !violations in
@@ -130,40 +116,25 @@ let gossip ~n ~problem s (log : Run_log.t) =
           && sender <> receiver)
       then flag (Wrong_interaction idx)
     end;
-    if sender >= 0 && sender < n && receiver >= 0 && receiver < n then begin
-      let bs = sender * w and br = receiver * w in
-      let informative = ref false in
-      for word = 0 to w - 1 do
-        let merged = planes.(br + word) lor planes.(bs + word) in
-        if merged <> planes.(br + word) then begin
-          informative := true;
-          planes.(br + word) <- merged
-        end
-      done;
-      if not !informative then flag (Uninformative idx)
-    end
+    if
+      sender >= 0 && sender < n && receiver >= 0 && receiver < n
+      && not (Bit_planes.absorb planes ~dst:receiver ~src:sender)
+    then flag (Uninformative idx)
   done;
   List.rev !violations
 
 let gossip_complete ~n ~problem s log =
   gossip ~n ~problem s log = []
   &&
-  let k = Problem.tokens problem in
-  let w, planes = gossip_seed ~n problem in
+  let planes = Bit_planes.tokens problem ~n in
   Run_log.iter
     (fun ~time:_ ~sender ~receiver ->
       if sender >= 0 && sender < n && receiver >= 0 && receiver < n then
-        for word = 0 to w - 1 do
-          planes.((receiver * w) + word) <-
-            planes.((receiver * w) + word) lor planes.((sender * w) + word)
-        done)
+        ignore (Bit_planes.absorb planes ~dst:receiver ~src:sender))
     log;
   let all = ref true in
   for v = 0 to n - 1 do
-    for word = 0 to w - 1 do
-      let full = mask_of (Stdlib.min word_bits (k - (word * word_bits))) in
-      if planes.((v * w) + word) <> full then all := false
-    done
+    if not (Bit_planes.is_full planes v) then all := false
   done;
   !all
 

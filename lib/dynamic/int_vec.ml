@@ -56,4 +56,5 @@ let truncate v len =
   v.len <- len
 
 let unsafe_get v i = Array.unsafe_get v.data i
+let unsafe_data v = v.data
 let unsafe_set v i x = Array.unsafe_set v.data i x

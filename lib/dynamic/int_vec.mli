@@ -45,3 +45,10 @@ val unsafe_get : t -> int -> int
 
 val unsafe_set : t -> int -> int -> unit
 (** [set] without the bounds check; same contract as {!unsafe_get}. *)
+
+val unsafe_data : t -> int array
+(** The backing array itself, no copy: entries [0 .. length - 1] are
+    the vector, the rest is spare capacity. A {!push} that grows the
+    vector moves it to a new array; the old one keeps its entries. Read
+    only by contract, for a reader that must not pay a call per
+    element. *)

@@ -50,6 +50,10 @@ val of_int_unchecked : int -> t
     packed by this module (schedule buffers, frozen sequences). No
     validation: only feed it values produced by {!to_int}. *)
 
+val unsafe_of_ints : int array -> t array
+(** {!of_int_unchecked} over a whole flat buffer, no copy: the same
+    array, read as interactions. Same trust contract. *)
+
 val to_pair : t -> int * int
 (** [(u, v)] with [u < v]. *)
 

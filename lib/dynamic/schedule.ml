@@ -175,20 +175,10 @@ let meet_vec t node =
       v
 
 let ensure t upto =
-  (* Materialise interactions with index < upto where possible. *)
-  (match t.source with
-  | Finite _ -> ()
-  | Generator gen ->
-      while Int_vec.length t.buf < upto do
-        let idx = Int_vec.length t.buf in
-        let i = gen idx in
-        check_interaction ~n:t.node_count i;
-        Int_vec.push t.buf (Interaction.to_int i)
-      done);
-  (* Record sink meetings for interactions materialised but not yet
-     indexed, reading the backing store directly per source — a shared
-     accessor here would cost a closure allocation per call on the
-     materialisation hot path. *)
+  (* Materialise interactions with index < upto where possible and
+     record their sink meetings, reading the backing store directly per
+     source — a shared accessor here would cost a closure allocation per
+     call on the materialisation hot path. *)
   let sink = t.sink_id in
   match t.source with
   | Finite s ->
@@ -199,15 +189,17 @@ let ensure t upto =
           Int_vec.push (meet_vec t (Interaction.other i sink)) t.indexed;
         t.indexed <- t.indexed + 1
       done
-  | Generator _ ->
-      let stop = Stdlib.min upto (Int_vec.length t.buf) in
-      while t.indexed < stop do
-        let i =
-          Interaction.of_int_unchecked (Int_vec.unsafe_get t.buf t.indexed)
-        in
+  | Generator gen ->
+      (* Indexed as drawn, so [indexed] is always the buffer's length.
+         A cursor over a generator lands here once per step: the loop
+         makes no call it does not need. *)
+      for idx = Int_vec.length t.buf to upto - 1 do
+        let i = gen idx in
+        check_interaction ~n:t.node_count i;
+        Int_vec.push t.buf (Interaction.to_int i);
         if Interaction.involves i sink then
-          Int_vec.push (meet_vec t (Interaction.other i sink)) t.indexed;
-        t.indexed <- t.indexed + 1
+          Int_vec.push (meet_vec t (Interaction.other i sink)) idx;
+        t.indexed <- idx + 1
       done
 
 (* Decode [cap] interactions from [base] into [buf]. Shared by the
@@ -454,6 +446,46 @@ let backing = function
   | Frozen f -> Some f.f_seq
   | Chunked _ -> None
 
+(* The one forward read path of the run-cores. A kernel reads [I_t] as
+   [blk.(t - base)] while [t < hi] and calls [advance] otherwise, so
+   the per-step cost is one compare and one load on every form; only a
+   block change calls in here. *)
+type cursor = {
+  src : t;
+  mutable blk : Interaction.t array;
+  mutable base : int;
+  mutable hi : int;
+}
+
+let cursor sched = { src = sched; blk = [||]; base = 0; hi = 0 }
+
+let advance cur time =
+  if time < 0 then invalid_arg "Schedule.advance: negative time";
+  match cur.src with
+  | Live ({ source = Generator _; buf; _ } as l) ->
+      (* Materialise exactly as far as [time], as [get] would. The
+         buffer only grows, by moving to a larger array once the old
+         one is full, so every index an older array holds is final:
+         the view is re-pointed only when [time] lies past it — a
+         pointer store on every step costs a write barrier. *)
+      ensure l (time + 1);
+      if time >= Array.length cur.blk then
+        cur.blk <- Interaction.unsafe_of_ints (Int_vec.unsafe_data buf);
+      cur.hi <- Int.min (Int_vec.length buf) (Array.length cur.blk)
+  | Live { source = Finite s; _ } | Frozen { f_seq = s; _ } ->
+      if time >= Sequence.length s then
+        invalid_arg "Schedule.advance: past the end of a finite schedule";
+      cur.blk <- Sequence.unsafe_array s;
+      cur.hi <- Sequence.length s
+  | Chunked c ->
+      (* Under prefetch [chunk_advance] swaps the buffers; the view
+         moves to the new block before anything reads again, so the
+         spare buffer the producer refills is never the one shown. *)
+      chunk_advance ~op:"advance" c time;
+      cur.blk <- Interaction.unsafe_of_ints c.c_block;
+      cur.base <- c.c_base;
+      cur.hi <- c.c_base + c.c_len
+
 let prefix sched k =
   if k < 0 then invalid_arg "Schedule.prefix: negative length";
   (match length sched with
@@ -594,22 +626,6 @@ let stepper sched =
   { st_sched = sched; st_pos = Array.make (n sched) 0 }
 
 let stepper_schedule st = st.st_sched
-
-let stepper_get st time =
-  if time < 0 then invalid_arg "Schedule.stepper_get: negative time";
-  match st.st_sched with
-  | Frozen f ->
-      if time < Sequence.length f.f_seq then Sequence.unsafe_get f.f_seq time
-      else invalid_arg "Schedule.stepper_get: past the end"
-  | Chunked c -> chunk_get ~op:"stepper_get" c time
-  | Live t -> (
-      match t.source with
-      | Finite s ->
-          if time < Sequence.length s then Sequence.unsafe_get s time
-          else invalid_arg "Schedule.stepper_get: past the end"
-      | Generator _ ->
-          if time >= Int_vec.length t.buf then ensure t (time + stepper_chunk);
-          Interaction.of_int_unchecked (Int_vec.unsafe_get t.buf time))
 
 let stepper_next_meet st ~node ~after ~limit =
   let count = n st.st_sched in

@@ -102,9 +102,45 @@ val get_exn : t -> int -> Interaction.t
     [--stream]). *)
 
 val backing : t -> Sequence.t option
-(** The full backing sequence of a finite or frozen schedule, no copy —
-    the engine's hot loop iterates it directly as a flat int array.
-    [None] for generator and chunked schedules. *)
+(** The full backing sequence of a finite or frozen schedule, no copy,
+    for whole-schedule readers such as the knowledge oracles and the
+    offline optimum. [None] for generator and chunked schedules. *)
+
+(** {1 Forward reads}
+
+    The one read path of every run-core. A cursor is a view of
+    interactions [base .. hi - 1] of one schedule; a kernel reads time
+    [t] as
+    {[
+      if t >= cur.hi then Schedule.advance cur t;
+      let i = Array.unsafe_get cur.blk (t - cur.base) in
+    ]}
+    so a step costs one compare and one load whatever the schedule's
+    form, and only a block change calls into this module. *)
+
+type cursor = private {
+  src : t;  (** the schedule read *)
+  mutable blk : Interaction.t array;
+  mutable base : int;  (** time of [blk.(0)] *)
+  mutable hi : int;  (** for [base <= t < hi], [blk.(t - base)] is [I_t] *)
+}
+
+val cursor : t -> cursor
+(** An empty view ([hi = 0]) of the schedule: the first read advances. *)
+
+val advance : cursor -> int -> unit
+(** [advance cur t] moves the view so that it covers [t]:
+
+    - a finite or frozen schedule shows its whole backing at once;
+    - a chunked schedule shows its current block, decoding the next one
+      as needed (under {!chunk_prefetch} the buffer swap happens here,
+      and the view moves to the new block in the same call);
+    - a generator shows its materialised prefix, extended only as far
+      as [t] — a scalar run materialises exactly what it reads.
+
+    @raise Invalid_argument on a negative time, a time past the end of
+    a finite schedule, or a chunked-schedule rewind (same wording as
+    {!get_exn}). *)
 
 val is_chunked : t -> bool
 
@@ -112,9 +148,9 @@ val chunk_view : t -> int -> int array * int * int
 (** [chunk_view s time] is [(block, off, avail)]: the current block of
     a chunked schedule positioned so [block.(off)] is the packed
     interaction at [time], with [avail >= 1] consecutive entries valid
-    from [off]. The engine's hot loop drains [avail] entries with no
-    per-step dispatch, then calls again — the refill is amortised over
-    the block. Advances (and recycles) the block as needed.
+    from [off]. Advances (and recycles) the block as needed. The
+    run-cores read through a {!cursor}; this block-level view is for
+    drain-only measurements.
     @raise Invalid_argument on a non-chunked schedule, a negative
     time, or a time before the current block (forward-only). *)
 
@@ -174,17 +210,19 @@ val next_meet_with_sink : t -> node:int -> after:int -> limit:int -> int option
     defines meetTime as the identity, so [Some (after + 1)] is
     returned (clipped to [limit]). *)
 
-(** {1 Batch-friendly step iteration}
+(** {1 Monotone meet probes}
 
-    A stepper is a mutable read cursor over one schedule, built for
-    lockstep consumers (the batch engine) whose accesses are monotone
-    in time. It keeps one position per node into the sink-meeting
-    index, so repeated {!stepper_next_meet} probes cost O(1) amortised,
-    and on generator schedules the search materialises {e only until
-    the first meet past [after] is known} — not to [limit + 1] like
-    {!next_meet_with_sink} — while returning identical answers (meets
-    are indexed in increasing time order, so the first one found
-    incrementally is the first one the full index would report).
+    A stepper is a set of mutable cursors into the sink-meeting index
+    of one schedule, built for lockstep consumers (the batch engine's
+    meet-time lanes) whose probes are monotone in time; the
+    interactions themselves are read through a {!cursor}. It keeps one
+    position per node, so repeated {!stepper_next_meet} probes cost
+    O(1) amortised, and on generator schedules the search materialises
+    {e only until the first meet past [after] is known} — in chunks of
+    512 interactions, not to [limit + 1] like {!next_meet_with_sink} —
+    while returning identical answers (meets are indexed in increasing
+    time order, so the first one found incrementally is the first one
+    the full index would report).
 
     A stepper mutates the underlying live schedule (materialisation)
     and its own cursors: like a live schedule it must stay confined to
@@ -199,11 +237,6 @@ val stepper : t -> stepper
 
 val stepper_schedule : stepper -> t
 (** The schedule the stepper iterates. *)
-
-val stepper_get : stepper -> int -> Interaction.t
-(** [stepper_get st t] is [I_t], materialising generator schedules in
-    chunks. @raise Invalid_argument on a negative time or past the end
-    of a finite schedule. *)
 
 val stepper_next_meet : stepper -> node:int -> after:int -> limit:int -> int option
 (** Same contract and answers as {!next_meet_with_sink}, through the

@@ -1,5 +1,6 @@
 module Engine = Doda_core.Engine
 module Run_log = Doda_core.Run_log
+module Bit_planes = Doda_core.Bit_planes
 
 let aggregation_parent ~n (r : Engine.result) =
   Array.copy (Run_log.parents r.log ~n)
@@ -78,45 +79,22 @@ let max_hops ~n ~sink r =
    those, so replaying the log over bit-planes reconstructs each
    node's knowledge history exactly. *)
 
-let word_bits = 63
-let mask_of k = if k >= word_bits then -1 else (1 lsl k) - 1
-
 let coverage_times ~n ~problem (r : Doda_core.Gossip.result) =
-  let k = Doda_core.Problem.tokens problem in
-  let w = (k + word_bits - 1) / word_bits in
-  let planes = Array.make (n * w) 0 in
-  for j = 0 to k - 1 do
-    let home = Doda_core.Problem.token_home problem ~n ~token:j in
-    planes.((home * w) + (j / word_bits)) <-
-      planes.((home * w) + (j / word_bits)) lor (1 lsl (j mod word_bits))
-  done;
-  let full =
-    Array.init w (fun word ->
-        mask_of (Stdlib.min word_bits (k - (word * word_bits))))
+  let planes = Bit_planes.tokens problem ~n in
+  let times =
+    Array.init n (fun v ->
+        (* Complete before any interaction: time -1, matching
+           [Temporal.earliest_arrival]'s convention for the source. *)
+        if Bit_planes.is_full planes v then Some (-1) else None)
   in
-  let is_full v =
-    let ok = ref true in
-    for word = 0 to w - 1 do
-      if planes.((v * w) + word) <> full.(word) then ok := false
-    done;
-    !ok
-  in
-  let times = Array.make n None in
-  for v = 0 to n - 1 do
-    (* Complete before any interaction: time -1, matching
-       [Temporal.earliest_arrival]'s convention for the source. *)
-    if is_full v then times.(v) <- Some (-1)
-  done;
   Run_log.iter
     (fun ~time ~sender ~receiver ->
-      if sender >= 0 && sender < n && receiver >= 0 && receiver < n then begin
-        for word = 0 to w - 1 do
-          planes.((receiver * w) + word) <-
-            planes.((receiver * w) + word) lor planes.((sender * w) + word)
-        done;
-        if times.(receiver) = None && is_full receiver then
-          times.(receiver) <- Some time
-      end)
+      if
+        sender >= 0 && sender < n && receiver >= 0 && receiver < n
+        && Bit_planes.absorb planes ~dst:receiver ~src:sender
+        && times.(receiver) = None
+        && Bit_planes.is_full planes receiver
+      then times.(receiver) <- Some time)
     r.Doda_core.Gossip.log;
   times
 

@@ -11,6 +11,7 @@ module Engine = Doda_core.Engine
 module Gossip = Doda_core.Gossip
 module Problem = Doda_core.Problem
 module Instrument = Doda_obs.Instrument
+module Counterexamples = Doda_adversary.Counterexamples
 
 exception Rejected of string
 
@@ -98,6 +99,22 @@ let require ~name ~batch ~stream source (algo : Algorithm.t) =
               name what)
     algo.requires
 
+(* A tree algorithm spans the underlying graph of the whole trace from
+   the sink, so the trace's interactions must link every one of the
+   schedule's nodes. *)
+let spanning ~name (algo : Algorithm.t) sched =
+  if List.mem Knowledge.Underlying_graph algo.requires then
+    let sched = Lazy.force sched in
+    match
+      (Knowledge.for_schedule sched [ Knowledge.Underlying_graph ]).underlying
+    with
+    | Some g when not (Doda_graph.Traversal.connected g) ->
+        reject
+          "algorithm %S needs a connected underlying graph, but the trace's \
+           interactions do not connect all %d nodes"
+          name (Schedule.n sched)
+    | Some _ | None -> ()
+
 let reading f =
   try f () with Sys_error msg | Failure msg | Invalid_argument msg ->
     raise (Rejected msg)
@@ -163,6 +180,7 @@ let run ?(telemetry = Instrument.disabled) ?record ?on_step ?lines (r : run) =
     | Some u, Some lines -> upload_schedule u ~n ~sink:r.sink lines
     | Some _, None -> invalid_arg "Job.run: an upload job needs its lines"
   in
+  Option.iter (fun algo -> spanning ~name:r.algo algo (lazy sched)) algo;
   let max_steps =
     match (r.max_steps, Schedule.length sched) with
     | Some m, _ -> Some m
@@ -210,6 +228,8 @@ let sweep ~pool ?telemetry ?should_stop ~on_point (s : sweep) =
         check ~reps:s.reps source ~n ~sink:0;
         let algo = algorithm ~n s.algo in
         require ~name:s.algo ~batch:s.batch ~stream:s.stream source algo;
+        spanning ~name:s.algo algo
+          (lazy (build ~stream:false source ~n ~sink:0 ~seed:s.seed));
         (n, algo))
       s.ns
   in
@@ -272,6 +292,57 @@ let sweep ~pool ?telemetry ?should_stop ~on_point (s : sweep) =
           Done (Some (fit.slope, fit.r2))
       | exception Experiment.Interrupted ->
           Interrupted (Option.map Checkpoint.path cp))
+
+(* --- duels ------------------------------------------------------------ *)
+
+type duel = {
+  adversary : Doda_adversary.Adversary.t;
+  nodes : int;
+  knowledge : Knowledge.t option;
+  algorithm : Algorithm.t;
+}
+
+(* An adaptive adversary picks each interaction as the run goes, so it
+   has no future to give meet times, the full schedule or a node's own
+   future from; thm3 alone fixes its underlying graph by construction
+   and hands it out. *)
+let duel ~adversary ~n name =
+  let nodes, make, graph =
+    match adversary with
+    | "thm1" -> (Counterexamples.theorem1_nodes, Counterexamples.theorem1, None)
+    | "thm3" ->
+        ( Counterexamples.theorem3_nodes,
+          Counterexamples.theorem3,
+          Some Counterexamples.theorem3_graph )
+    | "spiteful" ->
+        if n < 3 then reject "adversary \"spiteful\" needs n >= 3, got %d" n;
+        (n, (fun () -> Doda_adversary.Spiteful.adversary ~n ~sink:0), None)
+    | other -> reject "unknown adversary %S; known: thm1, thm3, spiteful" other
+  in
+  let algo = algorithm ~n:nodes name in
+  List.iter
+    (fun req ->
+      let what = Knowledge.requirement_name req in
+      match req with
+      | Knowledge.Underlying_graph when Option.is_some graph -> ()
+      | Underlying_graph ->
+          reject
+            "algorithm %S needs %s knowledge, which only the thm3 adversary \
+             can give"
+            name what
+      | Meet_time | Full_schedule | Own_future ->
+          reject
+            "algorithm %S needs %s knowledge, which an adaptive adversary \
+             cannot give"
+            name what)
+    algo.requires;
+  {
+    adversary = make ();
+    nodes;
+    knowledge =
+      Option.map (fun g -> Knowledge.with_underlying (g ()) Knowledge.empty) graph;
+    algorithm = algo;
+  }
 
 (* --- classification -------------------------------------------------- *)
 

@@ -10,7 +10,8 @@
     with the same one-line message whichever front end submitted it:
     an unknown algorithm, source or problem, a parameter
     {!Workload.check} refuses, knowledge the schedule cannot give the
-    algorithm, or a trace file that cannot be read. An upload arrives
+    algorithm, a tree algorithm over a trace whose underlying graph is
+    disconnected, or a trace file that cannot be read. An upload arrives
     while its job runs, so a line it cannot use raises {!Rejected}
     when the engine reaches it. *)
 
@@ -141,6 +142,26 @@ val sweep :
     point finishes ([cells] is the table row under {!sweep_header}).
     The checkpoint is closed on every exit.
     @raise Rejected as described at the top. *)
+
+(** {1 Duels} *)
+
+type duel = {
+  adversary : Doda_adversary.Adversary.t;
+  nodes : int;  (** the adversary's node count *)
+  knowledge : Doda_core.Knowledge.t option;
+      (** what the adversary hands the algorithm: thm3's underlying
+          graph, nothing otherwise *)
+  algorithm : Doda_core.Algorithm.t;  (** instantiated for [nodes] *)
+}
+
+val duel : adversary:string -> n:int -> string -> duel
+(** [duel ~adversary ~n algo] resolves a [doda duel] against [thm1],
+    [thm3] or [spiteful] (the only one that plays over [n] nodes).
+    @raise Rejected on an unknown adversary or algorithm, [spiteful]
+    with [n < 3], or an algorithm needing knowledge the adversary cannot
+    give: an adaptive adversary has no future, so never meetTime, the
+    full schedule or a node's own future, and only thm3 gives its
+    underlying graph. *)
 
 (** {1 Classification} *)
 

@@ -52,18 +52,51 @@ let test_defaults () =
   Alcotest.(check (list int)) "ns" [ 16; 32; 64; 128 ] Job.default_ns;
   Alcotest.(check int) "reps" 10 Job.default_reps
 
+(* [t8]: a connected 8-node trace; [d4]: a 4-node trace whose
+   footprint {0,1}, {2,3} is disconnected; [bad]: a malformed line. *)
 let with_traces f =
-  let t8 = temp_path ".trace" and bad = temp_path ".trace" in
+  let t8 = temp_path ".trace" and d4 = temp_path ".trace"
+  and bad = temp_path ".trace" in
   Trace.save t8
     (Generators.uniform_sequence (Prng.create 3) ~n:8 ~length:200);
+  Out_channel.with_open_bin d4 (fun oc ->
+      output_string oc "0 0 1\n1 2 3\n2 0 1\n");
   Out_channel.with_open_bin bad (fun oc ->
       output_string oc "0 1 2\nnot a line\n");
   Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ t8; bad ])
-    (fun () -> f ~t8 ~bad ~missing:(temp_path ".trace"))
+    ~finally:(fun () -> List.iter Sys.remove [ t8; d4; bad ])
+    (fun () -> f ~t8 ~d4 ~bad ~missing:(temp_path ".trace"))
+
+let duel_job ?(n = 6) adversary algo () =
+  ignore (Job.duel ~adversary ~n algo)
+
+(* Every named algorithm that needs knowledge, against the two
+   adversaries that give none. *)
+let duel_rejections =
+  List.concat_map
+    (fun (algo, what) ->
+      List.map
+        (fun adversary ->
+          ( Printf.sprintf "duel -a %s --adversary %s" algo adversary,
+            duel_job adversary algo,
+            Printf.sprintf "algorithm %S needs %s knowledge, which %s" algo
+              what
+              (if what = "underlying graph" then
+                 "only the thm3 adversary can give"
+               else "an adaptive adversary cannot give") ))
+        [ "thm1"; "spiteful" ])
+    [
+      ("waiting-greedy", "meetTime");
+      ("waiting-greedy:40", "meetTime");
+      ("waiting-greedy-doubling", "meetTime");
+      ("tree", "underlying graph");
+      ("tree-kruskal", "underlying graph");
+      ("full-knowledge", "full schedule");
+      ("future-gossip", "own future");
+    ]
 
 let test_rejected () =
-  with_traces @@ fun ~t8 ~bad ~missing ->
+  with_traces @@ fun ~t8 ~d4 ~bad ~missing ->
   let meet = {|algorithm "waiting-greedy" needs meetTime knowledge, which a streamed schedule cannot give|} in
   let in_memory algo what =
     Printf.sprintf
@@ -84,7 +117,8 @@ let test_rejected () =
           Alcotest.(check bool)
             (label ^ ": one line") false (String.contains msg '\n')
       | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e))
-    [
+    (duel_rejections
+    @ [
       (* knowledge the schedule cannot give *)
       ( "run --stream -a waiting-greedy",
         run_job (run ~algo:"waiting-greedy" ~stream:true ()), meet );
@@ -164,12 +198,31 @@ let test_rejected () =
         "bad problem: gossip needs a token count >= 1, e.g. gossip:8" );
       (* Workload.check, unchanged *)
       ("run -n 1", run_job (run ~n:1 ()), "n must be >= 2, got 1");
-    ]
+      (* a spanning tree needs the trace to connect every node *)
+      ( "run -a tree -n 16 -s trace:F",
+        run_job (run ~algo:"tree" ~n:16 ~source:("trace:" ^ t8) ()),
+        {|algorithm "tree" needs a connected underlying graph, but the trace's interactions do not connect all 16 nodes|}
+      );
+      ( "run -a tree-kruskal -n 4 -s trace:D",
+        run_job (run ~algo:"tree-kruskal" ~n:4 ~source:("trace:" ^ d4) ()),
+        {|algorithm "tree-kruskal" needs a connected underlying graph, but the trace's interactions do not connect all 4 nodes|}
+      );
+      ( "sweep -a tree -s trace:F --ns 8,30",
+        sweep_job (sweep ~algo:"tree" ~ns:[ 8; 30 ] ~source:("trace:" ^ t8) ()),
+        {|algorithm "tree" needs a connected underlying graph, but the trace's interactions do not connect all 30 nodes|}
+      );
+      (* duels *)
+      ( "duel --adversary spiteful -n 1",
+        duel_job ~n:1 "spiteful" "gathering",
+        {|adversary "spiteful" needs n >= 3, got 1|} );
+      ( "duel --adversary nope", duel_job "nope" "gathering",
+        {|unknown adversary "nope"; known: thm1, thm3, spiteful|} );
+    ])
 
 (* The neighbours of the rejected jobs run: the rules reject exactly
    what the schedule cannot support. *)
 let test_accepted () =
-  with_traces @@ fun ~t8 ~bad:_ ~missing:_ ->
+  with_traces @@ fun ~t8 ~d4:_ ~bad:_ ~missing:_ ->
   let trace = "trace:" ^ t8 in
   List.iter
     (fun (label, job) ->
@@ -194,6 +247,9 @@ let test_accepted () =
         upload_job
           (run ~upload:{ Job.nodes = 3; length = 2 } ())
           [ "0 0 1"; "1 1 2" ] );
+      ("duel -a tree --adversary thm3", duel_job "thm3" "tree");
+      ("duel -a gathering --adversary thm1", duel_job "thm1" "gathering");
+      ("duel -a waiting --adversary spiteful -n 3", duel_job ~n:3 "spiteful" "waiting");
       ( "upload run --sink 2 over 3 nodes",
         upload_job
           (run ~n:2 ~sink:2 ~upload:{ Job.nodes = 3; length = 2 } ())

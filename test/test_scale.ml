@@ -87,9 +87,9 @@ let prop_finite_chunked_matches_sequence =
       let b = Engine.run ~record:`All Algorithms.waiting chunked in
       same_result a b)
 
-(* The batch engine's generator decode path reads through
-   [stepper_get], which must serve chunked schedules too: lockstep
-   replications over a chunked schedule equal the scalar runs. *)
+(* The batch engine reads every schedule form through the scalar
+   engine's [Schedule.cursor]: lockstep replications over a chunked
+   schedule equal the scalar runs. *)
 let prop_batch_on_chunked =
   QCheck.Test.make ~count:60
     ~name:"batch run_reps on chunked schedule = scalar Engine.run"
@@ -105,6 +105,75 @@ let prop_batch_on_chunked =
         Batch_engine.run_reps ~max_steps Algorithms.gathering (chunked ()) 5
       in
       Array.for_all (fun b -> same_result scalar b) batch)
+
+(* The run-cores' one read path: reading t = 0 .. len-1 through
+   [Schedule.advance] and the cursor's view equals [get_exn] on every
+   schedule form, a generator materialises exactly what was read, and
+   the view refuses a negative time, a time past the end of a finite
+   schedule and a chunked rewind. *)
+let prop_cursor_reads =
+  QCheck.Test.make ~count:100 ~name:"cursor view = get_exn on every form"
+    instance_arb
+    (fun (n, block, seed) ->
+      let len = 5 * n in
+      let s = Generators.uniform_sequence (Prng.create seed) ~n ~length:len in
+      let gen t = Sequence.get s t in
+      let chunked () = Schedule.of_fun_chunked ~block ~length:len ~n ~sink:0 gen in
+      let forms =
+        [
+          ("of_sequence", (fun () -> Schedule.of_sequence ~n ~sink:0 s));
+          ( "frozen",
+            fun () -> Schedule.freeze (Schedule.of_sequence ~n ~sink:0 s) );
+          ("of_fun", fun () -> Schedule.of_fun ~n ~sink:0 gen);
+          ("of_fun_chunked", chunked);
+          ( "prefetched chunked",
+            fun () ->
+              let c = chunked () in
+              Schedule.chunk_prefetch c ~submit:(fun f -> f ()) ~now:(fun () -> 0);
+              c );
+        ]
+      in
+      let raises f =
+        match f () with () -> false | exception Invalid_argument _ -> true
+      in
+      List.for_all
+        (fun (name, make) ->
+          let sched = make () and oracle = make () in
+          let cur = Schedule.cursor sched in
+          for t = 0 to len - 1 do
+            if t >= cur.Schedule.hi then Schedule.advance cur t;
+            let i = cur.Schedule.blk.(t - cur.Schedule.base) in
+            if not (Interaction.equal i (Schedule.get_exn oracle t)) then
+              QCheck.Test.fail_reportf "%s: time %d differs" name t
+          done;
+          let finite = Schedule.length sched <> None in
+          if (not finite) && Schedule.materialized sched <> len then
+            QCheck.Test.fail_reportf "%s: materialised %d of %d read" name
+              (Schedule.materialized sched) len;
+          if not (raises (fun () -> Schedule.advance cur (-1))) then
+            QCheck.Test.fail_reportf "%s: negative time accepted" name;
+          if finite && not (raises (fun () -> Schedule.advance cur len)) then
+            QCheck.Test.fail_reportf "%s: time past the end accepted" name;
+          if Schedule.is_chunked sched && not (raises (fun () -> Schedule.advance cur 0))
+          then QCheck.Test.fail_reportf "%s: rewind accepted" name;
+          true)
+        forms)
+
+(* [doda run] computes its offline optimum and cost over the
+   materialised prefix: a scalar run over an [of_fun] schedule
+   materialises exactly the interactions it played. *)
+let test_run_materializes_what_it_reads () =
+  List.iter
+    (fun (seed, max_steps) ->
+      let n = 12 in
+      let sched =
+        Schedule.of_fun ~n ~sink:0 (Generators.uniform (Prng.create seed) ~n)
+      in
+      let r = Engine.run ~max_steps Algorithms.gathering sched in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: materialized = steps" seed)
+        r.Engine.steps (Schedule.materialized sched))
+    [ (1, 100_000); (2, 100_000); (3, 10) ]
 
 (* The pipelined producer must not change a single draw: a prefetched
    chunked schedule is run-identical to a plain one, both with an
@@ -515,6 +584,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_finite_chunked_matches_sequence;
           QCheck_alcotest.to_alcotest prop_batch_on_chunked;
           QCheck_alcotest.to_alcotest prop_prefetch_matches_plain;
+          QCheck_alcotest.to_alcotest prop_cursor_reads;
+          Alcotest.test_case "a run materialises what it reads" `Quick
+            test_run_materializes_what_it_reads;
           Alcotest.test_case "chunk stats" `Quick test_chunk_stats;
           Alcotest.test_case "generator call discipline" `Quick
             test_chunked_gen_discipline;

@@ -688,12 +688,18 @@ let test_serve_bad_job_parameters () =
   let base =
     match run_request () with Protocol.Run r -> r | _ -> assert false
   in
+  (* Footprint {0,1}, {2,3}: no spanning tree. *)
+  let disconnected = temp_path ".trace" in
+  Out_channel.with_open_bin disconnected (fun oc ->
+      output_string oc "0 0 1\n1 2 3\n");
   let bad_runs =
     [
       ("unknown algorithm", { base with algo = "nope" });
       ("bad source", { base with source = "nope" });
       ("bad problem", { base with problem = Some "gossip:x" });
       ("waiting-greedy --stream", { base with algo = "waiting-greedy"; stream = true });
+      ( "tree over a disconnected trace",
+        { base with algo = "tree"; n = 4; source = "trace:" ^ disconnected } );
     ]
   in
   (* A malformed upload: the trace reader refuses its second line. *)
@@ -743,7 +749,7 @@ let test_serve_bad_job_parameters () =
         | Error e -> Alcotest.fail e);
         Client.close c)
   in
-  Sys.remove bad_trace;
+  List.iter Sys.remove [ bad_trace; disconnected ];
   Alcotest.(check int) "bad jobs count as failed"
     (4 + List.length bad_runs)
     (counter_value tel "serve.failed")
