@@ -156,7 +156,11 @@ let aggregation_report ~tel ~sink ~stream ~timeline sched algo result =
             Format.printf "offline optimum on played prefix: %d@." (o + 1)
         | None ->
             Format.printf "offline optimum on played prefix: infeasible@.");
-    Format.printf "cost: %a@." Cost.pp (Cost.of_result ~n ~sink prefix result)
+    let cost =
+      Instrument.with_span tel "analysis/cost" (fun () ->
+          Cost.of_result ~n ~sink prefix result)
+    in
+    Format.printf "cost: %a@." Cost.pp cost
   end;
   if timeline then print_string (Doda_sim.Timeline.render ~n ~sink result)
 

@@ -22,12 +22,15 @@ type t =
 val cost :
   n:int -> sink:int -> Doda_dynamic.Sequence.t -> duration:int option -> t
 (** [cost ~n ~sink s ~duration] evaluates the definition over [s].
-    [duration = Some d] is the algorithm's termination time;
-    [None] means it had not terminated after the whole of [s]. *)
+    [duration = Some d] is the algorithm's termination time: the chain
+    [T(1), T(2), ...] is computed only up to the first [T(i) >= d].
+    [None] means it had not terminated after the whole of [s], and
+    needs the whole chain. *)
 
 val convergecasts_within : n:int -> sink:int -> Doda_dynamic.Sequence.t -> upto:int -> int
 (** Largest [i] such that [T(i) <= upto] — the number of successive
-    optimal convergecasts that complete by time [upto]. *)
+    optimal convergecasts that complete by time [upto]. The chain is
+    computed only up to the first [T(i) > upto]. *)
 
 val of_result : n:int -> sink:int -> Doda_dynamic.Sequence.t -> Engine.result -> t
 (** Cost of an engine run, analysed against the sequence that drove it

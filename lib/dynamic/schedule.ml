@@ -109,7 +109,9 @@ let make ~n ~sink source =
 
 let of_sequence ~n ~sink seq =
   let t = make ~n ~sink (Finite seq) in
-  Sequence.iteri (fun _ i -> check_interaction ~n i) seq;
+  for time = 0 to Sequence.length seq - 1 do
+    check_interaction ~n (Sequence.unsafe_get seq time)
+  done;
   t
 
 let of_fun ~n ~sink gen = make ~n ~sink (Generator gen)
@@ -159,11 +161,6 @@ let materialized = function
       | Generator _ -> Int_vec.length t.buf)
   | Frozen f -> Sequence.length f.f_seq
   | Chunked c -> c.c_base + c.c_len
-
-let raw_get t idx =
-  match t.source with
-  | Finite s -> Sequence.get s idx
-  | Generator _ -> Interaction.of_int_unchecked (Int_vec.get t.buf idx)
 
 (* The sink-meeting vector of [node], allocated on first use. *)
 let meet_vec t node =
@@ -492,10 +489,12 @@ let prefix sched k =
   | Some len when len < k -> invalid_arg "Schedule.prefix: schedule too short"
   | _ -> ());
   match sched with
-  | Frozen f -> Sequence.sub f.f_seq ~pos:0 ~len:k
+  | Live { source = Finite s; _ } | Frozen { f_seq = s; _ } ->
+      if k = Sequence.length s then s else Sequence.sub s ~pos:0 ~len:k
   | Live t ->
       ensure t k;
-      Sequence.of_array (Array.init k (fun idx -> raw_get t idx))
+      Sequence.of_array
+        (Interaction.unsafe_of_ints (Array.sub (Int_vec.unsafe_data t.buf) 0 k))
   | Chunked _ ->
       invalid_arg
         "Schedule.prefix: chunked schedules keep no prefix (use of_fun for \

@@ -197,7 +197,10 @@ val materialized : t -> int
 
 val prefix : t -> int -> Sequence.t
 (** [prefix s k] is [I_0 .. I_{k-1}] as a finite sequence,
-    materialising as needed. @raise Invalid_argument if a finite
+    materialising as needed. On a finite schedule it is the backing
+    sequence itself when [k] is its whole length (a {!Sequence.t} is
+    read-only), a copy of its first [k] interactions otherwise; it
+    indexes no sink meetings. @raise Invalid_argument if a finite
     schedule is shorter than [k]. *)
 
 val next_meet_with_sink : t -> node:int -> after:int -> limit:int -> int option

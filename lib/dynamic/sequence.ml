@@ -30,7 +30,12 @@ let rev s =
   Array.init n (fun i -> s.(n - 1 - i))
 
 let max_node s =
-  Array.fold_left (fun acc i -> Stdlib.max acc (Interaction.v i)) (-1) s
+  let m = ref (-1) in
+  for t = 0 to Array.length s - 1 do
+    let v = Interaction.v (Array.unsafe_get s t) in
+    if v > !m then m := v
+  done;
+  !m
 
 let iteri = Array.iteri
 let fold = Array.fold_left

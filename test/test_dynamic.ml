@@ -538,13 +538,14 @@ let test_grid_walkers_valid () =
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
 
+let with_temp_trace f =
+  let path = Filename.temp_file "doda" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
 let test_trace_roundtrip () =
   let rng = Prng.create 11 in
   let s = Generators.uniform_sequence rng ~n:6 ~length:100 in
-  let path = Filename.temp_file "doda" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  with_temp_trace (fun path ->
       Trace.save path s;
       let s2 = Trace.load path in
       Alcotest.(check bool) "roundtrip" true (Sequence.equal s s2))
@@ -555,8 +556,29 @@ let test_trace_parse () =
   Alcotest.(check bool) "parses" true (Trace.parse_line "3 1 2" = Some (3, 1, 2))
 
 let test_trace_rejects_gap () =
-  Alcotest.check_raises "gap" (Failure "Trace: line 2: expected time 1, got 5")
-    (fun () -> ignore (Trace.of_lines [ "0 1 2"; "5 0 1" ]))
+  with_temp_trace (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc "0 1 2\n5 0 1\n");
+      Alcotest.check_raises "gap"
+        (Failure "Trace: line 2: expected time 1, got 5") (fun () ->
+          ignore (Trace.load path)))
+
+(* A streamed run that stops before the end of its trace must not keep
+   the file open: sweeps build one streamed schedule per replication. *)
+let test_trace_stream_closes_file () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let open_fds () = List.sort compare (Array.to_list (Sys.readdir "/proc/self/fd")) in
+  let s = Generators.uniform_sequence (Prng.create 12) ~n:6 ~length:1000 in
+  with_temp_trace (fun path ->
+      Trace.save path s;
+      let before = open_fds () in
+      for _ = 1 to 100 do
+        let gen, length, _ = Trace.stream path in
+        let sched = Schedule.of_fun_chunked ~block:16 ~length ~n:6 ~sink:0 gen in
+        for t = 0 to 4 do
+          ignore (Schedule.get_exn sched t)
+        done
+      done;
+      Alcotest.(check (list string)) "no descriptor left open" before (open_fds ()))
 
 (* ------------------------------------------------------------------ *)
 (* Edge cases                                                          *)
@@ -710,5 +732,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
           Alcotest.test_case "parse" `Quick test_trace_parse;
           Alcotest.test_case "rejects gap" `Quick test_trace_rejects_gap;
+          Alcotest.test_case "stream closes its file" `Quick
+            test_trace_stream_closes_file;
         ] );
     ]

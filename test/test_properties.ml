@@ -8,6 +8,7 @@ module Schedule = Doda_dynamic.Schedule
 module Generators = Doda_dynamic.Generators
 module Underlying = Doda_dynamic.Underlying
 module Temporal = Doda_dynamic.Temporal
+module Trace = Doda_dynamic.Trace
 module Static_graph = Doda_graph.Static_graph
 module Spanning_tree = Doda_graph.Spanning_tree
 module Graph_gen = Doda_graph.Graph_gen
@@ -284,15 +285,33 @@ let prop_evolving_roundtrip =
       let eg = Doda_dynamic.Evolving_graph.of_interactions ~n ~window:1 s in
       Sequence.equal s (Doda_dynamic.Evolving_graph.to_interactions eg))
 
+(* [Cost] walks the chain only as far as the answer needs; the
+   definition is checked here against the whole [t_chain]: at each
+   T(i) (where the cost is i), one step either side of it, and past
+   the last entry. *)
 let prop_cost_boundary_exact =
   QCheck.Test.make ~count ~name:"cost: duration exactly T(i) costs i" instance_arb
-    (fun ((n, _, _) as inst) ->
+    (fun ((n, len, _) as inst) ->
       let s = sequence_of inst in
       let chain = Convergecast.t_chain ~n ~sink:0 s in
+      let rec first_reaching i d = function
+        | [] -> i
+        | ending :: rest -> if d <= ending then i else first_reaching (i + 1) d rest
+      in
+      let last = List.fold_left Int.max (-1) chain in
+      let durations =
+        List.concat_map (fun e -> [ e - 1; e; e + 1 ]) chain @ [ last + 1; len + 1 ]
+      in
       List.for_all
-        (fun (i, ending) ->
-          Cost.cost ~n ~sink:0 s ~duration:(Some ending) = Cost.Finite i)
-        (List.mapi (fun idx ending -> (idx + 1, ending)) chain))
+        (fun d ->
+          Cost.cost ~n ~sink:0 s ~duration:(Some d)
+          = Cost.Finite (first_reaching 1 d chain))
+        durations
+      && List.for_all
+           (fun upto ->
+             Cost.convergecasts_within ~n ~sink:0 s ~upto
+             = List.length (List.filter (fun e -> e <= upto) chain))
+           (List.init (len + 2) (fun k -> k - 1)))
 
 let prop_waiting_equals_coin_p1 =
   QCheck.Test.make ~count ~name:"waiting equals coin-waiting(p=1)" instance_arb
@@ -432,10 +451,285 @@ let prop_alias_in_range =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Trace readers against the reference grammar                          *)
+
+(* The trace reader as it was before the block reader, kept as the
+   oracle: [String.trim] / split / [int_of_string_opt] per line, a list
+   of lines for [load], [input_line] for the channel. *)
+module Trace_oracle = struct
+  let parse_line line =
+    let line = String.trim line in
+    if line = "" || line.[0] = '#' then None
+    else
+      match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+      | [ t; u; v ] -> (
+          match (int_of_string_opt t, int_of_string_opt u, int_of_string_opt v) with
+          | Some t, Some u, Some v -> Some (t, u, v)
+          | _ -> failwith ("Trace: malformed line: " ^ line))
+      | _ -> failwith ("Trace: malformed line: " ^ line)
+
+  let of_lines lines =
+    let interactions = ref [] in
+    let expected = ref 0 in
+    List.iteri
+      (fun lineno line ->
+        match parse_line line with
+        | None -> ()
+        | Some (t, u, v) ->
+            if t <> !expected then
+              failwith
+                (Printf.sprintf "Trace: line %d: expected time %d, got %d"
+                   (lineno + 1) !expected t);
+            incr expected;
+            interactions := Interaction.make u v :: !interactions)
+      lines;
+    Sequence.of_list (List.rev !interactions)
+
+  let load path =
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        let lines = ref [] in
+        (try
+           while true do
+             lines := input_line ic :: !lines
+           done
+         with End_of_file -> ());
+        of_lines (List.rev !lines))
+
+  let stream_lines ~length next_line =
+    let next = ref 0 in
+    fun t ->
+      if t <> !next then
+        failwith
+          (Printf.sprintf
+             "Trace.stream_lines: out-of-order read (expected %d, got %d)" !next t);
+      if t >= length then
+        failwith "Trace.stream_lines: read past the declared length";
+      let rec read () =
+        match next_line () with
+        | None ->
+            failwith
+              (Printf.sprintf
+                 "Trace.stream_lines: input ended at interaction %d of %d" !next
+                 length)
+        | Some line -> (
+            match parse_line line with
+            | None -> read ()
+            | Some (t', u, v) ->
+                if t' <> !next then
+                  failwith
+                    (Printf.sprintf "Trace: expected time %d, got %d" !next t');
+                Interaction.make u v)
+      in
+      let i = read () in
+      incr next;
+      i
+
+  let stream_channel ~length ic =
+    stream_lines ~length (fun () ->
+        match input_line ic with
+        | line -> Some line
+        | exception End_of_file -> None)
+end
+
+(* One trace line, rendered from the time it should carry, and how
+   many times it consumes (0 for blank and comment lines, more for a
+   block of lines). The forms that the reader's canonical scan does not
+   take, and the errors, are rare enough that most files parse. *)
+let trace_line_gen =
+  let open QCheck.Gen in
+  let spaces lo = map (fun k -> String.make k ' ') (int_range lo 3) in
+  let nodes =
+    map (fun (u, d) -> (u, u + 1 + d)) (pair (int_range 0 9) (int_range 0 6))
+  in
+  let plain =
+    let+ u, v = nodes and+ lead = spaces 0 and+ s1 = spaces 1
+    and+ s2 = spaces 1 and+ trail = spaces 0 in
+    ((fun t -> Printf.sprintf "%s%d%s%d%s%d%s" lead t s1 u s2 v trail), 1)
+  in
+  let rec binary x =
+    if x < 2 then string_of_int x else binary (x / 2) ^ string_of_int (x mod 2)
+  in
+  let other_form =
+    let+ u, v = nodes and+ which = int_range 0 2
+    and+ write =
+      oneofl
+        [ Printf.sprintf "0x%x"; Printf.sprintf "+%d"; Printf.sprintf "0o%o";
+          (fun x -> "0b" ^ binary x); Printf.sprintf "%019d";
+          Printf.sprintf "0_%d"; Printf.sprintf "-%d" ]
+    in
+    ( (fun t ->
+        String.concat " "
+          (List.mapi
+             (fun k x -> if k = which then write x else string_of_int x)
+             [ t; u; v ])),
+      1 )
+  in
+  let ends =
+    let+ render, _ = plain
+    and+ lead, trail =
+      oneofl [ ("", "\r"); ("\r", ""); ("\t", ""); ("", "\t"); ("", "\012"); ("", " \r") ]
+    in
+    ((fun t -> lead ^ render t ^ trail), 1)
+  in
+  let skipped =
+    let+ line = oneofl [ ""; "   "; "\t"; "\r"; "#"; "# a comment"; "  # 1 2 3" ] in
+    ((fun _ -> line), 0)
+  in
+  let long_comment =
+    let+ k = int_range 60_000 140_000 in
+    ((fun _ -> "#" ^ String.make k 'c'), 0)
+  in
+  let wide =
+    let+ u, v = nodes and+ k = int_range 65_000 70_000 in
+    ((fun t -> Printf.sprintf "%d%s%d %d" t (String.make k ' ') u v), 1)
+  in
+  let block =
+    let+ k = int_range 1_000 8_000 in
+    ( (fun t ->
+        String.concat "\n"
+          (List.init k (fun i ->
+               Printf.sprintf "%d %d %d" (t + i) (i mod 7) ((i mod 7) + 1 + (i mod 3))))),
+      k )
+  in
+  let bad =
+    let+ u, v = nodes
+    and+ line =
+      oneofl
+        [ (fun t u v -> Printf.sprintf "%d\t%d %d" t u v);
+          (fun t u _ -> Printf.sprintf "%d %d" t u);
+          (fun t u v -> Printf.sprintf "%d %d %d 4" t u v);
+          (fun t u v -> Printf.sprintf "%d %d %d" (t + 2) u v);
+          (fun t u _ -> Printf.sprintf "%d %d %d" t u u);
+          (fun _ _ _ -> "a b c");
+          (fun t u _ -> Printf.sprintf "%d %d %d" t u (1 lsl 32));
+          (fun t u _ -> Printf.sprintf "%d %d 9999999999999999999" t u) ]
+    in
+    ((fun t -> line t u v), 1)
+  in
+  frequency
+    [ (60, plain); (3, other_form); (3, ends); (6, skipped); (1, long_comment);
+      (1, wide); (2, block); (3, bad) ]
+
+let trace_file_arb =
+  let gen =
+    let open QCheck.Gen in
+    let+ lines = list_size (frequency [ (1, return 0); (9, int_range 1 30) ]) trace_line_gen
+    and+ final_newline = bool
+    and+ delta = int_range (-1) 1 in
+    let _, rendered =
+      List.fold_left
+        (fun (t, acc) (render, times) -> (t + times, render t :: acc))
+        (0, []) lines
+    in
+    let body = String.concat "\n" (List.rev rendered) in
+    ((if final_newline && lines <> [] then body ^ "\n" else body), delta)
+  in
+  QCheck.make gen ~print:(fun (contents, delta) ->
+      let shown =
+        if String.length contents <= 400 then contents
+        else String.sub contents 0 400 ^ "..."
+      in
+      Printf.sprintf "delta %d, %d bytes: %S" delta (String.length contents) shown)
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Failure m -> Error ("Failure: " ^ m)
+  | exception Invalid_argument m -> Error ("Invalid_argument: " ^ m)
+
+(* [gen 0], [gen 1], ... up to [length] or the first exception. *)
+let drain gen length =
+  let rec go t acc =
+    if t >= length then List.rev acc
+    else
+      match outcome (fun () -> Interaction.to_int (gen t)) with
+      | Ok _ as i -> go (t + 1) (i :: acc)
+      | Error _ as e -> List.rev (e :: acc)
+  in
+  go 0 []
+
+let prop_trace_readers_match_reference =
+  QCheck.Test.make ~count:150 ~name:"trace: every reader = the reference grammar"
+    trace_file_arb (fun (contents, delta) ->
+      let path = Filename.temp_file "doda_prop" ".trace" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+          let ints s = Array.to_list (Array.map Interaction.to_int (Sequence.to_array s)) in
+          let expected = outcome (fun () -> ints (Trace_oracle.load path)) in
+          let streamed =
+            Result.map
+              (fun l ->
+                ( List.length l,
+                  List.fold_left
+                    (fun m i -> Int.max m (Interaction.v (Interaction.of_int_unchecked i)))
+                    0 l,
+                  l ))
+              expected
+          in
+          (* input_line's lines: none in an empty file, and none after
+             a final newline *)
+          let lines =
+            match List.rev (String.split_on_char '\n' contents) with
+            | "" :: rest -> List.rev rest
+            | all -> List.rev all
+          in
+          let length =
+            Int.max 0
+              ((match expected with
+               | Ok l -> List.length l
+               | Error _ -> List.length lines)
+              + delta)
+          in
+          let feed () =
+            let rest = ref lines in
+            fun () ->
+              match !rest with
+              | [] -> None
+              | l :: tl ->
+                  rest := tl;
+                  Some l
+          in
+          let on_channel stream =
+            In_channel.with_open_text path (fun ic -> drain (stream ~length ic) length)
+          in
+          let checks =
+            [ ("load", outcome (fun () -> ints (Trace.load path)) = expected);
+              ( "stream",
+                outcome (fun () ->
+                    let gen, len, max_node = Trace.stream path in
+                    (len, max_node,
+                     Array.to_list (Array.init len (fun t -> Interaction.to_int (gen t)))))
+                = streamed );
+              ( "stream_lines",
+                drain (Trace.stream_lines ~length (feed ())) length
+                = drain (Trace_oracle.stream_lines ~length (feed ())) length );
+              ( "stream_channel",
+                on_channel Trace.stream_channel
+                = on_channel Trace_oracle.stream_channel );
+              ( "parse_line",
+                List.for_all
+                  (fun l ->
+                    outcome (fun () -> Trace.parse_line l)
+                    = outcome (fun () -> Trace_oracle.parse_line l))
+                  (contents :: lines) ) ]
+          in
+          match List.filter (fun (_, ok) -> not ok) checks with
+          | [] -> true
+          | failed ->
+              QCheck.Test.fail_reportf "differs from the reference: %s"
+                (String.concat ", " (List.map fst failed))))
+
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "properties"
     [
+      ( "trace", [ to_alcotest prop_trace_readers_match_reference ] );
       ( "model",
         List.map to_alcotest
           [
