@@ -1147,14 +1147,15 @@ let mixed () =
 
 let gen () =
   header "GEN | workload-generator throughput"
-    "Draws per second, single domain. markov-event rides the timing\n\
+    "Draws per second, single domain. uniform is the i.i.d. pair draw\n\
+     behind every default run and sweep. markov-event rides the timing\n\
      wheel (O(active + toggles) per step), markov-dense is the O(n^2)\n\
      Bernoulli-sweep reference it replaces (same distribution, not the\n\
      same draw stream). waypoint switches from an all-pairs scan to\n\
      the spatial hash when n >= 64 and the grid is at least 6x6\n\
      (radius below ~1/6) — the r=0.05 rows take the hash, the r=0.20\n\
      rows the scan. grid-walk buckets walkers by cell. CI enforces\n\
-     draws/s floors on two n=128 rows. Timing columns are machine-\n\
+     draws/s floors on three n=128 rows. Timing columns are machine-\n\
      dependent, so this table is not a byte-identical CSV baseline.";
   let t = Table.create ~header:[ "generator"; "draws"; "wall s"; "draws/s" ] in
   let time_gen label draws mk =
@@ -1175,6 +1176,10 @@ let gen () =
   in
   List.iter
     (fun n ->
+      time_gen
+        (Printf.sprintf "uniform n=%d" n)
+        1_000_000
+        (fun rng -> Generators.uniform rng ~n);
       time_gen
         (Printf.sprintf "markov-event n=%d" n)
         200_000

@@ -6,9 +6,6 @@ let adversary rng ~n ~sink ~q =
   let spiteful = Spiteful.adversary ~n ~sink in
   let next (view : Adversary.view) =
     if Prng.bernoulli rng q then spiteful.Adversary.next view
-    else begin
-      let a, b = Prng.pair rng n in
-      Some (Interaction.make a b)
-    end
+    else Some (Prng.pair_with rng n Interaction.make)
   in
   { Adversary.name = Printf.sprintf "mixed(q=%.2f)" q; next }

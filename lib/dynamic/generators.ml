@@ -1,13 +1,11 @@
 module Prng = Doda_prng.Prng
 
-let uniform rng ~n _t =
-  let a, b = Prng.pair rng n in
-  Interaction.make a b
+(* [Interaction.make] as the continuation: a closed top-level function,
+   so a draw builds no tuple and no closure. *)
+let uniform rng ~n _t = Prng.pair_with rng n Interaction.make
 
 let uniform_sequence rng ~n ~length =
-  Sequence.of_array (Array.init length (fun _ ->
-      let a, b = Prng.pair rng n in
-      Interaction.make a b))
+  Sequence.of_array (Array.init length (uniform rng ~n))
 
 let weighted_nodes rng ~weights =
   let positive = Array.fold_left (fun c w -> if w > 0.0 then c + 1 else c) 0 weights in

@@ -311,8 +311,7 @@ let gen_t_interval rng ~n ~window =
       let m = Array.length edges in
       Array.blit edges 0 block 0 m;
       for idx = m to window - 1 do
-        let a, b = Prng.pair rng n in
-        block.(idx) <- Interaction.to_int (Interaction.make a b)
+        block.(idx) <- Interaction.to_int (Prng.pair_with rng n Interaction.make)
       done;
       Prng.shuffle rng block)
 

@@ -1,13 +1,16 @@
 type t = {
   gen : Xoshiro256ss.t;
   seeder : Splitmix64.t;
-  (* One-slot memo of the rejection limit for the last non-power-of-two
-     bound. Bulk consumers (schedule materialisation, batch
-     replication) draw millions of times at one bound, and the limit is
-     a pure function of the bound, so caching it removes one division
-     per draw without touching the draw stream. *)
+  (* Two-slot memo of the rejection limits for the last two
+     non-power-of-two bounds, most recent first. Bulk consumers draw
+     millions of times at one bound, and [pair] alternates two (n and
+     n - 1); the limit is a pure function of the bound, so caching it
+     removes a 64-bit division per draw without touching the draw
+     stream. *)
   mutable memo_bound : int;
   mutable memo_limit : int;
+  mutable memo_bound' : int;
+  mutable memo_limit' : int;
 }
 
 let create64 seed =
@@ -16,6 +19,8 @@ let create64 seed =
     seeder = Splitmix64.create (Int64.lognot seed);
     memo_bound = 0;
     memo_limit = 0;
+    memo_bound' = 0;
+    memo_limit' = 0;
   }
 
 let create seed = create64 (Int64.of_int seed)
@@ -32,6 +37,8 @@ let copy g =
     seeder = Splitmix64.copy g.seeder;
     memo_bound = g.memo_bound;
     memo_limit = g.memo_limit;
+    memo_bound' = g.memo_bound';
+    memo_limit' = g.memo_limit';
   }
 
 let bits64 g = Xoshiro256ss.next g.gen
@@ -40,27 +47,34 @@ let bits64 g = Xoshiro256ss.next g.gen
    path. *)
 let bits g = Xoshiro256ss.next_bits g.gen ~drop:2
 
+(* The largest multiple of [bound] that fits in 62 bits: a draw below
+   it is accepted, so the result has no modulo bias. *)
+let limit g bound =
+  if g.memo_bound = bound then g.memo_limit
+  else if g.memo_bound' = bound then g.memo_limit'
+  else begin
+    let max_int62 = (1 lsl 62) - 1 in
+    let l = max_int62 - (max_int62 mod bound) in
+    g.memo_bound' <- g.memo_bound;
+    g.memo_limit' <- g.memo_limit;
+    g.memo_bound <- bound;
+    g.memo_limit <- l;
+    l
+  end
+
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   if bound land (bound - 1) = 0 then bits g land (bound - 1)
   else begin
-    (* Rejection sampling over the largest multiple of [bound] that
-       fits in 62 bits, to avoid modulo bias. *)
-    let limit =
-      if g.memo_bound = bound then g.memo_limit
-      else begin
-        let max_int62 = (1 lsl 62) - 1 in
-        let l = max_int62 - (max_int62 mod bound) in
-        g.memo_bound <- bound;
-        g.memo_limit <- l;
-        l
-      end
-    in
-    let rec draw () =
-      let r = bits g in
-      if r < limit then r mod bound else draw ()
-    in
-    draw ()
+    (* Rejection sampling. A loop over a local ref, not a local
+       recursive function: the ref stays in a register, where the
+       function would be a closure allocated on every draw. *)
+    let limit = limit g bound in
+    let r = ref (bits g) in
+    while !r >= limit do
+      r := bits g
+    done;
+    !r mod bound
   end
 
 let int_in g lo hi =
@@ -88,12 +102,14 @@ let geometric g p =
     let u = 1.0 -. float g 1.0 in
     int_of_float (Float.floor (log u /. log (1.0 -. p)))
 
-let pair g n =
+let pair_with g n k =
   if n < 2 then invalid_arg "Prng.pair: need at least two elements";
   let a = int g n in
   let b = int g (n - 1) in
   let b = if b >= a then b + 1 else b in
-  if a < b then (a, b) else (b, a)
+  if a < b then k a b else k b a
+
+let pair g n = pair_with g n (fun a b -> (a, b))
 
 let choose g a =
   if Array.length a = 0 then invalid_arg "Prng.choose: empty array";

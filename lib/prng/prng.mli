@@ -63,6 +63,13 @@ val pair : t -> int -> int * int
     returned with the smaller value first. @raise Invalid_argument if
     [n < 2]. *)
 
+val pair_with : t -> int -> (int -> int -> 'a) -> 'a
+(** [pair_with g n k] is [k a b] for the pair [(a, b)] that [pair g n]
+    would return, from the same draws, without building the tuple. With
+    a closed top-level [k] (such as [Interaction.make]) a draw
+    allocates nothing. @raise Invalid_argument if [n < 2], with
+    {!pair}'s message. *)
+
 val choose : t -> 'a array -> 'a
 (** [choose g a] is a uniformly random element of [a].
     @raise Invalid_argument on an empty array. *)

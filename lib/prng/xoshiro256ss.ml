@@ -1,22 +1,30 @@
-(* The four 64-bit state words live bit-cast in a flat float array.
-   Float-array loads and stores move unboxed words without the write
-   barrier, and [Int64.bits_of_float] / [float_of_bits] are free
-   register moves, so one [next_bits] call — load four words, a dozen
-   logical ops, store four words — allocates nothing. With the obvious
-   representation (a record of four mutable [int64] fields) every state
-   store allocated a fresh box and ran [caml_modify], and the PRNG
-   dominated the run time of every trace generator built on it. *)
+(* The four 64-bit state words live in a 32-byte [Bytes.t], read and
+   written through the compiler's 64-bit bytes primitives. Each of
+   [get64] / [set64] compiles to one machine load or store: no bounds
+   check, no box, no C call and no write barrier (bytes hold no
+   pointers). [next_bits] — four loads, a dozen logical ops, four
+   stores — is therefore straight-line code that allocates nothing.
+   The obvious alternatives pay on every draw: mutable [int64] record
+   fields box each store and run [caml_modify], and a float array
+   needs [Int64.bits_of_float] / [float_of_bits], which are C calls on
+   a compiler without flambda. Nothing serialises the state, so native
+   byte order is fine. *)
 
-type t = float array
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let[@inline] rotl x k =
   Int64.(logor (shift_left x k) (shift_right_logical x (64 - k)))
 
 let of_words s0 s1 s2 s3 =
-  [|
-    Int64.float_of_bits s0; Int64.float_of_bits s1;
-    Int64.float_of_bits s2; Int64.float_of_bits s3;
-  |]
+  let g = Bytes.create 32 in
+  set64 g 0 s0;
+  set64 g 8 s1;
+  set64 g 16 s2;
+  set64 g 24 s3;
+  g
 
 (* s3 down to s0: the state used to be built as a record literal whose
    fields evaluate right to left, so the first SplitMix64 draw landed
@@ -35,16 +43,16 @@ let of_state (s0, s1, s2, s3) =
     invalid_arg "Xoshiro256ss.of_state: all-zero state";
   of_words s0 s1 s2 s3
 
-let copy = Array.copy
+let copy = Bytes.copy
 
 (* One step of the xoshiro256** update, shared by [next] and
-   [next_bits]; kept monomorphic and local so both specialise to
-   straight-line unboxed code. *)
+   [next_bits]; inlined into both so the words stay unboxed in
+   registers between the loads and the stores. *)
 let[@inline always] step (g : t) =
-  let s0 = Int64.bits_of_float (Array.unsafe_get g 0) in
-  let s1 = Int64.bits_of_float (Array.unsafe_get g 1) in
-  let s2 = Int64.bits_of_float (Array.unsafe_get g 2) in
-  let s3 = Int64.bits_of_float (Array.unsafe_get g 3) in
+  let s0 = get64 g 0 in
+  let s1 = get64 g 8 in
+  let s2 = get64 g 16 in
+  let s3 = get64 g 24 in
   let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
   let t = Int64.shift_left s1 17 in
   let s2 = Int64.logxor s2 s0 in
@@ -53,10 +61,10 @@ let[@inline always] step (g : t) =
   let s0 = Int64.logxor s0 s3 in
   let s2 = Int64.logxor s2 t in
   let s3 = rotl s3 45 in
-  Array.unsafe_set g 0 (Int64.float_of_bits s0);
-  Array.unsafe_set g 1 (Int64.float_of_bits s1);
-  Array.unsafe_set g 2 (Int64.float_of_bits s2);
-  Array.unsafe_set g 3 (Int64.float_of_bits s3);
+  set64 g 0 s0;
+  set64 g 8 s1;
+  set64 g 16 s2;
+  set64 g 24 s3;
   result
 
 let next g = step g
@@ -69,20 +77,19 @@ let jump_table =
 
 let jump g =
   let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
-  let word i = Int64.bits_of_float (Array.unsafe_get g i) in
   Array.iter
     (fun w ->
       for b = 0 to 63 do
         if Int64.(logand w (shift_left 1L b)) <> 0L then begin
-          s0 := Int64.logxor !s0 (word 0);
-          s1 := Int64.logxor !s1 (word 1);
-          s2 := Int64.logxor !s2 (word 2);
-          s3 := Int64.logxor !s3 (word 3)
+          s0 := Int64.logxor !s0 (get64 g 0);
+          s1 := Int64.logxor !s1 (get64 g 8);
+          s2 := Int64.logxor !s2 (get64 g 16);
+          s3 := Int64.logxor !s3 (get64 g 24)
         end;
         ignore (next g)
       done)
     jump_table;
-  Array.unsafe_set g 0 (Int64.float_of_bits !s0);
-  Array.unsafe_set g 1 (Int64.float_of_bits !s1);
-  Array.unsafe_set g 2 (Int64.float_of_bits !s2);
-  Array.unsafe_set g 3 (Int64.float_of_bits !s3)
+  set64 g 0 !s0;
+  set64 g 8 !s1;
+  set64 g 16 !s2;
+  set64 g 24 !s3

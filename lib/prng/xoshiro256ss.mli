@@ -21,10 +21,12 @@ val next : t -> int64
 
 val next_bits : t -> drop:int -> int
 (** [next_bits g ~drop] is
-    [Int64.to_int (Int64.shift_right_logical (next g) drop)], fused so
-    the 64-bit word is never boxed; the allocation-free path for every
-    integer and float draw in {!Prng}. [drop] must be at least 2 for
-    the result to fit an OCaml int. *)
+    [Int64.to_int (Int64.shift_right_logical (next g) drop)]. The state
+    update is inlined into it, so the four state words and the output
+    never leave registers boxed: one call is four 64-bit loads, the
+    xoshiro256** arithmetic and four stores, with no allocation and no
+    C call. Every integer and float draw in {!Prng} goes through it.
+    [drop] must be at least 2 for the result to fit an OCaml int. *)
 
 val jump : t -> unit
 (** [jump g] advances [g] by [2^128] steps; used to carve

@@ -6,7 +6,11 @@ exception Cancelled
 type job = {
   id : int;
   kind : string;
-  work : cancelled:(unit -> bool) -> Doda_sim.Pool.t -> unit;
+  work :
+    cancelled:(unit -> bool) ->
+    reply:((unit -> unit) -> unit) ->
+    Doda_sim.Pool.t ->
+    unit;
   cancel_flag : bool Atomic.t;
   mutable enqueued_ns : int64;
   mutable finished : bool;  (* guarded by the queue mutex *)
@@ -18,7 +22,7 @@ type t = {
   mutex : Mutex.t;
   cond : Condition.t;  (* signals: job dispatched, drain, job finished *)
   queue : job Queue.t;
-  inflight : (int, job) Hashtbl.t;  (* admitted and not finished *)
+  inflight : (int, job) Hashtbl.t;  (* admitted and not yet replying *)
   max_queue : int;
   mutable is_draining : bool;
   mutable next_id : int;
@@ -163,11 +167,21 @@ let executor_loop t pool =
       let picked = now_ns () in
       Metrics.observe t.queue_wait_us (us_between job.enqueued_ns picked);
       Metrics.set t.inflight_gauge 1;
+      (* The slot is freed before the terminal frame is written, and
+         [finished] set only once [work] returns, after the write: the
+         connection closes its channel when [wait_done] returns, so
+         never under a write. *)
+      let reply write =
+        Mutex.lock t.mutex;
+        Hashtbl.remove t.inflight job.id;
+        Mutex.unlock t.mutex;
+        write ()
+      in
       (try
          Instrument.with_span t.exec_tel ("serve/job/" ^ job.kind) (fun () ->
              job.work
                ~cancelled:(fun () -> Atomic.get job.cancel_flag)
-               pool);
+               ~reply pool);
          Metrics.incr t.completed
        with
       | Cancelled -> Metrics.incr t.cancelled_c
@@ -176,6 +190,7 @@ let executor_loop t pool =
       Metrics.observe t.execute_us (us_between picked (now_ns ()));
       Mutex.lock t.mutex;
       job.finished <- true;
+      (* still held by a job that raised before replying *)
       Hashtbl.remove t.inflight job.id;
       Condition.broadcast t.cond;
       Mutex.unlock t.mutex;

@@ -34,20 +34,33 @@ val create :
   exec_telemetry:Doda_obs.Instrument.t ->
   unit ->
   t
-(** [max_queue] bounds jobs admitted but not yet finished; admissions
-    beyond it are rejected with a reason. [telemetry] is the main-side
-    handle, [exec_telemetry] the executor-side shard (see above). *)
+(** [max_queue] bounds jobs admitted that have not yet written their
+    terminal frame; admissions beyond it are rejected with a reason.
+    [telemetry] is the main-side handle, [exec_telemetry] the
+    executor-side shard (see above). *)
 
 val admit :
   t ->
   kind:string ->
-  work:(cancelled:(unit -> bool) -> Doda_sim.Pool.t -> unit) ->
+  work:
+    (cancelled:(unit -> bool) ->
+    reply:((unit -> unit) -> unit) ->
+    Doda_sim.Pool.t ->
+    unit) ->
   (ticket, string) result
 (** Reserve a slot. [Error reason] when the queue is full or the
     server is draining. [work] runs on the executor domain with the
     executor's pool; it should poll [cancelled] at natural boundaries
     and raise {!Cancelled} (after sending its own farewell frame) when
-    the flag is up. *)
+    the flag is up.
+
+    [work] writes its terminal frame (result, error or farewell)
+    through [reply]: [reply write] frees the job's admission slot, then
+    runs [write]. A client that submits its next job as soon as it
+    reads the terminal frame therefore finds the slot free. The job
+    counts as finished (see {!wait_done}) only once [work] has
+    returned, so after the write; a job that raises before replying
+    frees its slot then too. *)
 
 val job_id : ticket -> int
 val ticket_depth : ticket -> int
@@ -58,11 +71,12 @@ val dispatch : t -> ticket -> unit
 
 val cancel : t -> int -> bool
 (** Flag job [id] for cancellation, whether queued or running; [false]
-    if no such job is in flight (unknown id, or already finished). A
-    still-queued job is cancelled before its work starts. *)
+    if no such job is in flight (unknown id, or already replying or
+    finished). A still-queued job is cancelled before its work
+    starts. *)
 
 val depth : t -> int
-(** Jobs admitted and not yet finished. *)
+(** Jobs admitted and holding their slot (not yet replying). *)
 
 val drain : t -> unit
 (** Stop admitting; the executor finishes everything already admitted

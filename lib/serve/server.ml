@@ -1,5 +1,7 @@
 module Instrument = Doda_obs.Instrument
 module Sequence = Doda_dynamic.Sequence
+module Interaction = Doda_dynamic.Interaction
+module Int_vec = Doda_dynamic.Int_vec
 module Trace = Doda_dynamic.Trace
 module Engine = Doda_core.Engine
 module Gossip = Doda_core.Gossip
@@ -111,9 +113,13 @@ let cancel_check ~cancelled =
     incr tick;
     if !tick land 1023 = 0 && cancelled () then raise Jobq.Cancelled
 
+(* Each handler writes its terminal frame with [reply], which frees
+   the job's admission slot first (see [Jobq.admit]); progress frames
+   go through [send]. *)
+
 (* The upload's lines reach the job; whatever it leaves unread is
    drained however the job ends. *)
-let handle_run ~job ~ic ~send ~cancelled (r : P.run_req) =
+let handle_run ~job ~ic ~reply ~cancelled (r : P.run_req) =
   let reader = Option.map (fun _ -> upload_reader ic) r.upload in
   let _sched, outcome =
     Fun.protect
@@ -123,7 +129,7 @@ let handle_run ~job ~ic ~send ~cancelled (r : P.run_req) =
           ?lines:(Option.map (fun rd -> rd.next_line) reader)
           r)
   in
-  send
+  reply
     (match outcome with
     | Job.Disseminated (problem, result) ->
         P.Run_result
@@ -146,7 +152,7 @@ let handle_run ~job ~ic ~send ~cancelled (r : P.run_req) =
             problem = None;
           })
 
-let handle_sweep t ~job ~send ~cancelled ~pool (s : P.sweep_req) =
+let handle_sweep t ~job ~send ~reply ~cancelled ~pool (s : P.sweep_req) =
   (* Stop at the next replication boundary on cancellation, or — when
      there is a checkpoint to hand back — on server drain. An
      uncheckpointed sweep ignores drain and runs to completion (drain
@@ -156,12 +162,12 @@ let handle_sweep t ~job ~send ~cancelled ~pool (s : P.sweep_req) =
   in
   let on_point ~n cells = send (P.Point { job; n; cells }) in
   match Job.sweep ~pool ~should_stop ~on_point s with
-  | Job.Done exponent -> send (P.Summary { job; exponent })
+  | Job.Done exponent -> reply (P.Summary { job; exponent })
   | Job.Interrupted (Some path) when not (cancelled ()) ->
-      send (P.Checkpointed { job; path })
+      reply (P.Checkpointed { job; path })
   | Job.Interrupted _ -> raise Jobq.Cancelled
 
-let handle_classify ~job ~ic ~send ~cancelled (c : P.classify_req) =
+let handle_classify ~job ~ic ~reply ~cancelled (c : P.classify_req) =
   let u = c.P.upload in
   let reader = upload_reader ic in
   let seq =
@@ -170,23 +176,23 @@ let handle_classify ~job ~ic ~send ~cancelled (c : P.classify_req) =
     Fun.protect ~finally:reader.drain (fun () ->
         let gen = Trace.stream_lines ~length:u.length reader.next_line in
         let check = cancel_check ~cancelled in
-        if u.length = 0 then Sequence.of_list []
-        else begin
-          (* classification needs random access (Temporal), so the
-             upload is the one handler that materialises; filled in
-             index order as stream_lines requires *)
-          let arr = Array.make u.length (gen 0) in
-          for i = 1 to u.length - 1 do
-            check ();
-            arr.(i) <- gen i
-          done;
-          Sequence.of_array arr
-        end)
+        (* classification needs random access (Temporal), so the
+           upload is the one handler that materialises, in index order
+           as stream_lines requires. The buffer grows with the lines
+           received, not with the header's declared length, so a short
+           body fails with the reader's message without the declared
+           length ever being allocated. *)
+        let packed = Int_vec.create () in
+        for i = 0 to u.length - 1 do
+          check ();
+          Int_vec.push packed (Interaction.to_int (gen i))
+        done;
+        Sequence.of_array (Interaction.unsafe_of_ints (Int_vec.to_array packed)))
   in
   let report =
     Job.classify ?window:c.window ?bound:c.bound ~nodes:u.nodes seq
   in
-  send (P.Classify_result { job; report })
+  reply (P.Classify_result { job; report })
 
 (* --- connections (spawning domain) ----------------------------------- *)
 
@@ -212,17 +218,20 @@ let serve_request t ~ic ~send =
             | P.Cancel _ -> assert false
           in
           let jid = ref 0 in
-          let work ~cancelled pool =
+          let work ~cancelled ~reply pool =
+            let reply resp = reply (fun () -> send resp) in
             send (P.Started { job = !jid });
             try
               match req with
-              | P.Run r -> handle_run ~job:!jid ~ic ~send ~cancelled r
-              | P.Sweep s -> handle_sweep t ~job:!jid ~send ~cancelled ~pool s
-              | P.Classify c -> handle_classify ~job:!jid ~ic ~send ~cancelled c
+              | P.Run r -> handle_run ~job:!jid ~ic ~reply ~cancelled r
+              | P.Sweep s ->
+                  handle_sweep t ~job:!jid ~send ~reply ~cancelled ~pool s
+              | P.Classify c ->
+                  handle_classify ~job:!jid ~ic ~reply ~cancelled c
               | P.Cancel _ -> assert false
             with
             | Jobq.Cancelled as e ->
-                send (P.Cancelled { job = !jid });
+                reply (P.Cancelled { job = !jid });
                 raise e
             | e ->
                 let message =
@@ -230,7 +239,7 @@ let serve_request t ~ic ~send =
                   | Job.Rejected msg -> msg
                   | e -> Printexc.to_string e
                 in
-                send (P.Error_response { job = Some !jid; message });
+                reply (P.Error_response { job = Some !jid; message });
                 raise e
           in
           match Jobq.admit t.jobq ~kind ~work with

@@ -71,9 +71,12 @@ let replicate_par ?pool ?jobs ?(telemetry = Instrument.disabled) ~replications
 (* One lockstep batch pass under a ["batch"] span, with its engine
    counters folded into [tel]. [batch.rep_steps] counts the lane steps
    actually executed: one per decode for a deterministic rule, which
-   runs once whatever the replication count. *)
-let batch_pass tel ?max_steps ~record ~rngs algo schedule count =
+   runs once whatever the replication count. A pool pipelines the block
+   decodes of a chunked schedule; the producer starts inside the span,
+   so every block it decodes for the pass falls within the span. *)
+let batch_pass tel ?pool ?max_steps ~record ~rngs algo schedule count =
   Instrument.with_span tel "batch" (fun () ->
+      Option.iter (fun p -> Pool.pipeline p schedule) pool;
       let stats = Doda_core.Batch_engine.stats () in
       let results =
         Doda_core.Batch_engine.run_reps ?max_steps ~record ~rngs ~stats algo
@@ -104,8 +107,8 @@ let replicate_batched ?pool ?jobs ?(telemetry = Instrument.disabled) ?max_steps
      only pipelines the block decodes of a chunked schedule. *)
   let rngs = split_seeds ~replications ~seed in
   let pass pool =
-    Option.iter (fun p -> Pool.pipeline p schedule) pool;
-    batch_pass telemetry ?max_steps ~record ~rngs algo schedule replications
+    batch_pass telemetry ?pool ?max_steps ~record ~rngs algo schedule
+      replications
   in
   match (pool, jobs) with
   | Some p, _ -> pass (Some p)
@@ -242,10 +245,9 @@ let run_batched_factory ?pool ?(telemetry = Instrument.disabled) ?checkpoint
       Instrument.with_span telemetry "schedule/build" (fun () ->
           factory sched_rng)
     in
-    Option.iter (fun p -> Pool.pipeline p schedule) pool;
     let rngs = Array.map (fun slot -> seeds.(slot)) todo in
     let results =
-      batch_pass telemetry ~max_steps ~record:`Count ~rngs algo schedule
+      batch_pass telemetry ?pool ~max_steps ~record:`Count ~rngs algo schedule
         (Array.length todo)
     in
     Array.iteri

@@ -3,6 +3,45 @@
 module Prng = Doda_prng.Prng
 module Splitmix64 = Doda_prng.Splitmix64
 module Xoshiro256ss = Doda_prng.Xoshiro256ss
+module Generators = Doda_dynamic.Generators
+module Interaction = Doda_dynamic.Interaction
+
+(* The published xoshiro256** [next] and [jump] (Blackman & Vigna,
+   xoshiro256starstar.c), transcribed statement for statement over a
+   boxed [int64] array: the oracle the library's unboxed state is
+   checked against. *)
+module Oracle = struct
+  let rotl x k = Int64.(logor (shift_left x k) (shift_right_logical x (64 - k)))
+
+  let next s =
+    let result = Int64.mul (rotl (Int64.mul s.(1) 5L) 7) 9L in
+    let t = Int64.shift_left s.(1) 17 in
+    s.(2) <- Int64.logxor s.(2) s.(0);
+    s.(3) <- Int64.logxor s.(3) s.(1);
+    s.(1) <- Int64.logxor s.(1) s.(2);
+    s.(0) <- Int64.logxor s.(0) s.(3);
+    s.(2) <- Int64.logxor s.(2) t;
+    s.(3) <- rotl s.(3) 45;
+    result
+
+  let jump_words =
+    [ 0x180ec6d33cfd0abaL; 0xd5a61266f0c9392cL; 0xa9582618e03fc9aaL;
+      0x39abdc4529b1661cL ]
+
+  let jump s =
+    let acc = Array.make 4 0L in
+    List.iter
+      (fun w ->
+        for b = 0 to 63 do
+          if Int64.logand w (Int64.shift_left 1L b) <> 0L then
+            for i = 0 to 3 do
+              acc.(i) <- Int64.logxor acc.(i) s.(i)
+            done;
+          ignore (next s)
+        done)
+      jump_words;
+    Array.blit acc 0 s 0 4
+end
 
 let test_splitmix_reference () =
   (* Reference outputs for seed 1234567 from the public-domain C
@@ -27,6 +66,71 @@ let test_xoshiro_rejects_zero_state () =
   Alcotest.check_raises "zero state"
     (Invalid_argument "Xoshiro256ss.of_state: all-zero state") (fun () ->
       ignore (Xoshiro256ss.of_state (0L, 0L, 0L, 0L)))
+
+(* The oracle's first outputs from state (1, 2, 3, 4), the values the
+   reference C code prints. *)
+let test_oracle_reference () =
+  let s = [| 1L; 2L; 3L; 4L |] in
+  let expected =
+    List.map Int64.of_string
+      [ "11520"; "0"; "1509978240"; "1215971899390074240";
+        "1216172134540287360"; "607988272756665600";
+        "0u16172922978634559625"; "8476171486693032832";
+        "0u10595114339597558777"; "2904607092377533576" ]
+  in
+  Alcotest.(check (list int64)) "first ten outputs" expected
+    (List.map (fun _ -> Oracle.next s) expected)
+
+type op = Next | Bits2 | Bits11 | Copy | Jump
+
+let op_name = function
+  | Next -> "next"
+  | Bits2 -> "next_bits ~drop:2"
+  | Bits11 -> "next_bits ~drop:11"
+  | Copy -> "copy"
+  | Jump -> "jump"
+
+(* From any nonzero state, 1000 operations of the library's generator
+   agree with the oracle step for step. A copy replays the stream and
+   drawing from it leaves the original alone; a jump lands where the
+   oracle's does. *)
+let prop_xoshiro_matches_oracle =
+  let state =
+    QCheck.Gen.(
+      map
+        (fun (a, b, c, d) ->
+          if a = 0L && b = 0L && c = 0L && d = 0L then (1L, b, c, d)
+          else (a, b, c, d))
+        (quad ui64 ui64 ui64 ui64))
+  in
+  let ops =
+    QCheck.Gen.(
+      list_repeat 1000
+        (frequency
+           [ (3, return Next); (3, return Bits2); (3, return Bits11);
+             (1, return Copy); (1, return Jump) ]))
+  in
+  let print ((a, b, c, d), ops) =
+    Printf.sprintf "(%Lx, %Lx, %Lx, %Lx) %s" a b c d
+      (String.concat "; " (List.map op_name ops))
+  in
+  QCheck.Test.make ~count:100 ~name:"xoshiro: matches the published algorithm"
+    (QCheck.make ~print (QCheck.Gen.pair state ops))
+    (fun (((a, b, c, d) as words), ops) ->
+      let g = Xoshiro256ss.of_state words in
+      let s = [| a; b; c; d |] in
+      let bits drop = Int64.to_int (Int64.shift_right_logical (Oracle.next s) drop) in
+      List.for_all
+        (function
+          | Next -> Xoshiro256ss.next g = Oracle.next s
+          | Bits2 -> Xoshiro256ss.next_bits g ~drop:2 = bits 2
+          | Bits11 -> Xoshiro256ss.next_bits g ~drop:11 = bits 11
+          | Copy -> Xoshiro256ss.next (Xoshiro256ss.copy g) = Oracle.next (Array.copy s)
+          | Jump ->
+              Xoshiro256ss.jump g;
+              Oracle.jump s;
+              Xoshiro256ss.next g = Oracle.next s)
+        ops)
 
 let test_xoshiro_jump_diverges () =
   let g = Xoshiro256ss.create 42L in
@@ -65,6 +169,73 @@ let test_int_rejects_nonpositive () =
   Alcotest.check_raises "zero bound"
     (Invalid_argument "Prng.int: bound must be positive") (fun () ->
       ignore (Prng.int g 0))
+
+(* [Prng.int] as a plain rejection sampler over [next_bits ~drop:2],
+   with no memo: a power-of-two bound masks one draw; any other bound
+   rejects draws at or above the largest multiple of it below 2^62. *)
+let reference_int x bound =
+  if bound land (bound - 1) = 0 then Xoshiro256ss.next_bits x ~drop:2 land (bound - 1)
+  else
+    let max_int62 = (1 lsl 62) - 1 in
+    let limit = max_int62 - (max_int62 mod bound) in
+    let rec draw () =
+      let r = Xoshiro256ss.next_bits x ~drop:2 in
+      if r < limit then r mod bound else draw ()
+    in
+    draw ()
+
+(* Over an interleaved bound sequence (n, n - 1, n, 7, n - 1, 2^k,
+   ...), whatever the memo holds, [Prng.int] consumes and accepts the
+   same draws as the reference. Bounds just above 2^61 reject about
+   half their draws. *)
+let prop_int_matches_reference =
+  let bound n =
+    QCheck.Gen.(
+      oneof
+        [ return n; return (n - 1); return 7; map (fun k -> 1 lsl k) (0 -- 61);
+          map (fun d -> (1 lsl 61) + 1 + d) (0 -- 1000); 1 -- 1_000_000 ])
+  in
+  let case =
+    QCheck.Gen.(
+      pair int (2 -- 100_000) >>= fun (seed, n) ->
+      map (fun bounds -> (seed, n, bounds)) (list_size (1 -- 300) (bound n)))
+  in
+  let print (seed, n, bounds) =
+    Printf.sprintf "seed %d, n %d, bounds %s" seed n
+      (String.concat " " (List.map string_of_int bounds))
+  in
+  QCheck.Test.make ~count:200 ~name:"Prng.int = memo-free rejection sampler"
+    (QCheck.make ~print case)
+    (fun (seed, _, bounds) ->
+      let g = Prng.create seed in
+      let x = Xoshiro256ss.create (Int64.of_int seed) in
+      List.for_all (fun b -> Prng.int g b = reference_int x b) bounds)
+
+(* A uniform draw allocates nothing: the minor heap does not move over
+   10^5 draws of [Prng.int] (either kind of bound) or of the uniform
+   generator. *)
+let test_draws_allocate_nothing () =
+  let draws = 100_000 in
+  let minor_words label draw =
+    let sum = ref 0 in
+    let before = Gc.minor_words () in
+    for t = 1 to draws do
+      sum := !sum + draw t
+    done;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check (float 0.0)) label 0.0 words;
+    ignore (Sys.opaque_identity !sum)
+  in
+  let g = Prng.create 16 in
+  minor_words "Prng.int, power-of-two bound" (fun _ -> Prng.int g 64);
+  minor_words "Prng.int, other bound" (fun _ -> Prng.int g 63);
+  List.iter
+    (fun n ->
+      let uniform = Generators.uniform g ~n in
+      minor_words
+        (Printf.sprintf "Generators.uniform n=%d" n)
+        (fun t -> Interaction.to_int (uniform t)))
+    [ 64; 800 ]
 
 let test_int_in_inclusive () =
   let g = Prng.create 4 in
@@ -219,12 +390,16 @@ let () =
         [
           Alcotest.test_case "rejects zero state" `Quick test_xoshiro_rejects_zero_state;
           Alcotest.test_case "jump diverges" `Quick test_xoshiro_jump_diverges;
+          Alcotest.test_case "oracle reference outputs" `Quick test_oracle_reference;
+          QCheck_alcotest.to_alcotest prop_xoshiro_matches_oracle;
         ] );
       ( "prng",
         [
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int uniformity" `Slow test_int_uniformity;
           Alcotest.test_case "int rejects nonpositive" `Quick test_int_rejects_nonpositive;
+          QCheck_alcotest.to_alcotest prop_int_matches_reference;
+          Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
           Alcotest.test_case "int_in inclusive" `Quick test_int_in_inclusive;
           Alcotest.test_case "float range" `Quick test_float_range;
           Alcotest.test_case "bool balanced" `Slow test_bool_balanced;

@@ -24,6 +24,7 @@ module Frame = Doda_serve.Frame
 module Protocol = Doda_serve.Protocol
 module Server = Doda_serve.Server
 module Client = Doda_serve.Client
+module Jobq = Doda_serve.Jobq
 
 let temp_path suffix =
   let path = Filename.temp_file "doda_serve" suffix in
@@ -582,6 +583,47 @@ let test_serve_queue_full_rejection () =
   Alcotest.(check int) "rejected" 1 (counter_value tel "serve.rejected");
   Alcotest.(check int) "completed" 2 (counter_value tel "serve.completed")
 
+(* A job's admission slot is free by the time its terminal reply is
+   written, so a client that submits its next job as soon as it reads
+   that reply is never told "queue full". The second admission runs
+   inside the first job's reply write, the earliest moment a client
+   could see the reply. A job that raises before replying frees its
+   slot too. *)
+let test_jobq_slot_free_at_reply () =
+  let tel = Instrument.create () in
+  let q =
+    Jobq.create ~max_queue:1 ~telemetry:tel
+      ~exec_telemetry:(Instrument.shard tel) ()
+  in
+  let admit work =
+    match Jobq.admit q ~kind:"run" ~work with
+    | Ok ticket -> ticket
+    | Error reason -> Alcotest.fail reason
+  in
+  let run ticket =
+    Jobq.dispatch q ticket;
+    Jobq.wait_done q ticket
+  in
+  let second = ref (Error "the first job never replied") in
+  let first ~cancelled:_ ~reply _pool =
+    reply (fun () ->
+        second := Jobq.admit q ~kind:"run" ~work:(fun ~cancelled:_ ~reply _ ->
+            reply ignore))
+  in
+  let raises ~cancelled:_ ~reply:_ _pool = failwith "no reply" in
+  let executor =
+    Domain.spawn (fun () ->
+        Doda_sim.Pool.with_pool ~jobs:1 (fun pool -> Jobq.executor_loop q pool))
+  in
+  run (admit first);
+  (match !second with
+  | Ok ticket -> run ticket
+  | Error reason -> Alcotest.fail ("admission at reply: " ^ reason));
+  run (admit raises);
+  Alcotest.(check int) "no slot held after a raise" 0 (Jobq.depth q);
+  Jobq.drain q;
+  Domain.join executor
+
 let test_serve_cancel_mid_job () =
   (* A gossip run over an uploaded trace that cannot complete (only
      nodes 0 and 1 ever meet): without cancellation it would process
@@ -709,6 +751,12 @@ let test_serve_bad_job_parameters () =
       List.iter (fun l -> output_string oc (l ^ "\n")) bad_lines);
   let upload = { Job.nodes = 8; length = 2 } in
   let bad_upload = { base with upload = Some upload } in
+  (* A header declaring 2^40 interactions over a 3-line body: the
+     server must not allocate the declared length up front. *)
+  let short_trace = temp_path ".trace" in
+  Out_channel.with_open_bin short_trace (fun oc ->
+      output_string oc "0 0 1\n1 1 2\n2 0 1\n");
+  let huge = { Job.nodes = 8; length = 1 lsl 40 } in
   let upload_error =
     let rest = ref bad_lines in
     let next () =
@@ -730,6 +778,10 @@ let test_serve_bad_job_parameters () =
           (Protocol.Classify { window = None; bound = None; upload })
           (job_error (fun () -> Job.reading (fun () -> Trace.load bad_trace)))
           endpoint;
+        expect "classify upload far shorter than declared" ~trace_file:short_trace
+          (Protocol.Classify { window = None; bound = None; upload = huge })
+          "Trace.stream_lines: input ended at interaction 3 of 1099511627776"
+          endpoint;
         expect "sweep --reps 0"
           (sweep_request ~ns:[ 8 ] ~reps:0 ~seed:1 ())
           (job_error (fun () ->
@@ -749,9 +801,9 @@ let test_serve_bad_job_parameters () =
         | Error e -> Alcotest.fail e);
         Client.close c)
   in
-  List.iter Sys.remove [ bad_trace; disconnected ];
+  List.iter Sys.remove [ bad_trace; short_trace; disconnected ];
   Alcotest.(check int) "bad jobs count as failed"
-    (4 + List.length bad_runs)
+    (5 + List.length bad_runs)
     (counter_value tel "serve.failed")
 
 (* A long-lived server keeps nothing per finished connection: hundreds
@@ -948,6 +1000,8 @@ let () =
             test_serve_uploaded_run_matches_direct;
           Alcotest.test_case "admission control rejects past max-queue" `Quick
             test_serve_queue_full_rejection;
+          Alcotest.test_case "a job frees its slot before its reply" `Quick
+            test_jobq_slot_free_at_reply;
           Alcotest.test_case "cancellation interrupts a running job" `Quick
             test_serve_cancel_mid_job;
           Alcotest.test_case "concurrent clients, bit-identical results" `Quick
