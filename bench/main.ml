@@ -124,11 +124,16 @@ let mean_stderr samples =
 (* Durations (interactions to completion) of replicated runs of [algo]
    against the uniform randomized adversary. Most consumers only read
    durations, so transmission logging is off by default; experiments
-   that inspect the log (E1, LATENCY) pass ~record:`All. *)
+   that inspect the log (E1, LATENCY) pass ~record:`All. Nothing reads
+   [rng] or the schedule after the run, so a knowledge-free algorithm
+   streams its schedule (Experiment.replication_schedule). *)
 let uniform_runs ?(record = `Count) ?(reps = replications) ?(seed = master_seed)
     ~n algo =
   replicate ~replications:reps ~seed (fun rng ->
-      let sched = Randomized.uniform_schedule rng ~n ~sink:0 in
+      let sched =
+        Experiment.replication_schedule algo ~n ~sink:0
+          (Generators.uniform rng ~n)
+      in
       Engine.run ~record ~max_steps:((200 * n * n) + 10_000) algo sched)
 
 let durations results =

@@ -63,7 +63,10 @@ let stream_flag =
         ~doc:
           "Stream the schedule through a fixed-size block (bounded memory at \
            any horizon) instead of materialising it. Results are identical; \
-           meet-time oracles and offline prefix analysis are unavailable.")
+           meet-time oracles and offline prefix analysis are unavailable. A \
+           sweep without $(b,--batch) already streams every replication \
+           whose algorithm needs no knowledge, so there $(b,--stream) only \
+           rejects the algorithms that read the schedule again.")
 
 let emit_trace tel = function
   | None -> ()

@@ -81,25 +81,32 @@ let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let float g bound =
-  (* 53 random bits mapped to [0, 1), scaled. *)
-  let r = Xoshiro256ss.next_bits g.gen ~drop:11 in
-  float_of_int r /. 9007199254740992.0 *. bound
+(* 53 random bits: [bits53 g /. 0x1p53] is uniform in [0, 1). A call
+   that returns a float boxes it, so the draws below read these bits
+   and do their float arithmetic locally, where it stays unboxed:
+   [bernoulli], [geometric] and [Alias.sample] allocate nothing, and
+   [float] and [exponential], inlined, allocate nothing where their
+   result is stored or computed with. *)
+let[@inline] bits53 g = Xoshiro256ss.next_bits g.gen ~drop:11
+
+let[@inline] float g bound = float_of_int (bits53 g) /. 0x1p53 *. bound
 
 let bool g = Int64.(shift_right_logical (bits64 g) 63) = 1L
 
-let bernoulli g p = float g 1.0 < p
+(* [float g 1.0 < p], scaled by 2^53 on both sides: both scalings are
+   exact, so this is the same comparison. *)
+let bernoulli g p = float_of_int (bits53 g) < p *. 0x1p53
 
-let exponential g lambda =
+let[@inline] exponential g lambda =
   if lambda <= 0.0 then invalid_arg "Prng.exponential: rate must be positive";
-  let u = 1.0 -. float g 1.0 in
+  let u = 1.0 -. (float_of_int (bits53 g) /. 0x1p53) in
   -.log u /. lambda
 
 let geometric g p =
   if p <= 0.0 || p > 1.0 then invalid_arg "Prng.geometric: p must be in (0,1]";
   if p = 1.0 then 0
   else
-    let u = 1.0 -. float g 1.0 in
+    let u = 1.0 -. (float_of_int (bits53 g) /. 0x1p53) in
     int_of_float (Float.floor (log u /. log (1.0 -. p)))
 
 let pair_with g n k =
@@ -178,7 +185,7 @@ module Alias = struct
   let sample g d =
     let n = Array.length d.prob in
     let i = int g n in
-    if float g 1.0 < d.prob.(i) then i else d.alias.(i)
+    if float_of_int (bits53 g) < d.prob.(i) *. 0x1p53 then i else d.alias.(i)
 
   let size d = Array.length d.prob
 end

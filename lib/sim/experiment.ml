@@ -154,6 +154,17 @@ let decode_duration payload =
 
 let never_stop () = false
 
+(* The largest array the minor heap takes: a replication's block dies
+   young. *)
+let replication_block = 256
+
+let streams_replication (algo : Doda_core.Algorithm.t) = algo.requires = []
+
+let replication_schedule algo ~n ~sink gen =
+  if streams_replication algo then
+    Doda_dynamic.Schedule.of_fun_chunked ~block:replication_block ~n ~sink gen
+  else Doda_dynamic.Schedule.of_fun ~n ~sink gen
+
 let run_schedule_factory ?pool ?jobs ?(telemetry = Instrument.disabled)
     ?checkpoint ?(should_stop = never_stop) ?(replications = 20) ?(seed = 42)
     ~max_steps ~label ~n factory algo =
@@ -268,7 +279,9 @@ let run_uniform ?pool ?jobs ?telemetry ?replications ?seed ?(sink = 0)
   in
   run_schedule_factory ?pool ?jobs ?telemetry ?replications ?seed ~max_steps
     ~label:algo.name ~n
-    (fun rng -> Doda_adversary.Randomized.uniform_schedule rng ~n ~sink)
+    (fun rng ->
+      replication_schedule algo ~n ~sink
+        (Doda_dynamic.Generators.uniform rng ~n))
     algo
 
 let replicate_duels ?pool ?jobs ?knowledge ~replications ~seed ~max_steps ~n

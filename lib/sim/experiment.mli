@@ -110,6 +110,35 @@ val replicate_batched :
 
 val of_results : label:string -> n:int -> Doda_core.Engine.result array -> measurement
 
+(** {1 Replication schedules} *)
+
+val streams_replication : Doda_core.Algorithm.t -> bool
+(** [streams_replication algo] is [true] when [algo] needs no
+    knowledge ([requires = []]): it reads its schedule once, forward,
+    and nothing reads the schedule after the run, so a replication's
+    schedule may be a chunked one of {!replication_block} entries
+    instead of a live {!Doda_dynamic.Schedule.of_fun} prefix with its
+    sink-meeting index. Every run result is the same either way. An
+    algorithm that reads the schedule again (meet times, the full
+    schedule, the underlying graph, its own future) keeps the live
+    form. *)
+
+val replication_block : int
+(** The block of a streamed replication's schedule: 256 entries, the
+    largest array OCaml allocates on the minor heap. A chunked
+    schedule decodes whole blocks, so its generator may run up to 255
+    interactions past the run's end; that is safe because each
+    replication's generator owns its stream. *)
+
+val replication_schedule :
+  Doda_core.Algorithm.t -> n:int -> sink:int ->
+  (int -> Doda_dynamic.Interaction.t) -> Doda_dynamic.Schedule.t
+(** [replication_schedule algo ~n ~sink gen] is the schedule one
+    replication of [algo] runs over: [gen] streamed through
+    {!replication_block} when {!streams_replication} holds, a live
+    [Schedule.of_fun ~n ~sink gen] otherwise. [gen] must draw from a
+    stream of its own. *)
+
 val run_uniform :
   ?pool:Pool.t -> ?jobs:int -> ?telemetry:Doda_obs.Instrument.t ->
   ?replications:int -> ?seed:int -> ?sink:int -> ?max_steps:int ->
@@ -117,7 +146,8 @@ val run_uniform :
 (** [run_uniform ~n algo] measures [algo] against the uniform
     randomized adversary. Defaults: 20 replications, seed 42, sink 0,
     [max_steps = 200 * n^2 + 10_000] (an order of magnitude above the
-    slowest expected algorithm, Waiting). Sequential unless
+    slowest expected algorithm, Waiting). Each replication's schedule
+    is {!replication_schedule}'s. Sequential unless
     [?pool]/[?jobs] is given; the measurement is identical either
     way. *)
 

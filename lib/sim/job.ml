@@ -121,8 +121,10 @@ let reading f =
 
 (* Only a trace file is read here; a generated source that passed
    [check] builds without error. *)
-let build ?telemetry ~stream source ~n ~sink ~seed =
-  let build () = Workload.schedule ?telemetry ~stream source ~n ~sink ~seed in
+let build ?telemetry ?block ~stream source ~n ~sink ~seed =
+  let build () =
+    Workload.schedule ?telemetry ~stream ?block source ~n ~sink ~seed
+  in
   if Workload.is_finite source then reading build else build ()
 
 let schedule s ~n ~sink ~seed =
@@ -220,6 +222,19 @@ let sweep_header = [ "n"; "mean"; "stderr"; "success" ]
 
 type sweep_end = Done of (float * float) option | Interrupted of string option
 
+(* One independent instantiation of the workload per stream handed in.
+   The batched sweep builds one per point and streams under [stream]
+   alone; the scalar sweep builds one per replication, which streams
+   through a small block whenever its algorithm needs no knowledge
+   ([stream] only rejects the algorithms that do). *)
+let sweep_schedule ~batch ~stream source ~n algo rng =
+  let stream, block =
+    if batch then (stream, None)
+    else
+      (Experiment.streams_replication algo, Some Experiment.replication_block)
+  in
+  build ~stream ?block source ~n ~sink:0 ~seed:(Prng.int rng 1_000_000_000)
+
 let sweep ~pool ?telemetry ?should_stop ~on_point (s : sweep) =
   let source = source s.source in
   let points =
@@ -252,12 +267,8 @@ let sweep ~pool ?telemetry ?should_stop ~on_point (s : sweep) =
       Option.value s.max_steps ~default:((400 * n * n) + 10_000)
     in
     let label = algo.Algorithm.name in
-    let factory rng =
-      (* One independent instantiation of the workload per stream
-         handed in: the scalar sweep calls this once per replication,
-         the batched sweep once per point. *)
-      build ~stream:s.stream source ~n ~sink:0
-        ~seed:(Prng.int rng 1_000_000_000)
+    let factory =
+      sweep_schedule ~batch:s.batch ~stream:s.stream source ~n algo
     in
     let m =
       if s.batch then

@@ -140,8 +140,23 @@ val sweep :
     {!Experiment.run_schedule_factory}, one workload instance per
     stream handed to the factory — calling [on_point ~n cells] as each
     point finishes ([cells] is the table row under {!sweep_header}).
-    The checkpoint is closed on every exit.
+    The checkpoint is closed on every exit. Each stream's schedule is
+    {!sweep_schedule}'s.
     @raise Rejected as described at the top. *)
+
+val sweep_schedule :
+  batch:bool -> stream:bool -> Workload.t -> n:int ->
+  Doda_core.Algorithm.t -> Doda_prng.Prng.t -> Doda_dynamic.Schedule.t
+(** [sweep_schedule ~batch ~stream source ~n algo rng] is the schedule
+    {!val-sweep} builds from [rng] for a point of [n] nodes (sink 0):
+    the workload seeded by one draw of [rng]. A batched point's one
+    schedule is chunked with the default block under [stream],
+    unstreamed otherwise. A scalar replication whose algorithm needs
+    no knowledge ({!Experiment.streams_replication}) is chunked with
+    {!Experiment.replication_block} entries, with or without [stream];
+    any other is unstreamed. Tables and checkpoints do not depend on
+    the form.
+    @raise Rejected on a trace file that cannot be read. *)
 
 (** {1 Duels} *)
 

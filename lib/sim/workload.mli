@@ -30,7 +30,7 @@ val syntax : string
 (** The one-line syntax summary for help output. *)
 
 val schedule :
-  ?telemetry:Doda_obs.Instrument.t -> ?stream:bool ->
+  ?telemetry:Doda_obs.Instrument.t -> ?stream:bool -> ?block:int ->
   t -> n:int -> sink:int -> seed:int -> Doda_dynamic.Schedule.t
 (** Instantiate the workload. Generator-backed workloads are unbounded;
     [Trace_file] is finite and may enlarge [n] to fit the trace's node
@@ -42,6 +42,9 @@ val schedule :
     stays O(block) whatever the horizon, the draw stream — and thus
     every run result — is unchanged, but access is forward-only and
     meet-time knowledge is unavailable (fine for Gathering/Waiting).
+    [block] is the chunked schedule's block size (default
+    [Schedule.of_fun_chunked]'s); it changes no result and is ignored
+    without [stream].
     @raise Sys_error / Failure on unreadable or malformed trace
     files, and Failure when [sink] is not below the larger of [n] and
     the trace's node count. *)

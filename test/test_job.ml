@@ -8,7 +8,15 @@
 module Job = Doda_sim.Job
 module Trace = Doda_dynamic.Trace
 module Generators = Doda_dynamic.Generators
+module Schedule = Doda_dynamic.Schedule
 module Prng = Doda_prng.Prng
+module Engine = Doda_core.Engine
+module Experiment = Doda_sim.Experiment
+module Workload = Doda_sim.Workload
+module Checkpoint = Doda_sim.Checkpoint
+module Pool = Doda_sim.Pool
+module Scaling = Doda_sim.Scaling
+module Table = Doda_sim.Table
 
 let temp_path suffix =
   let path = Filename.temp_file "doda_job" suffix in
@@ -256,6 +264,159 @@ let test_accepted () =
           [ "0 0 1"; "1 1 2" ] );
     ]
 
+(* --- scalar sweeps stream knowledge-free replications ----------------- *)
+
+let scalar ?(stream = false) ?checkpoint ~algo ~source () =
+  { Job.algo; ns = [ 8; 12 ]; reps = 6; seed = 5; source; max_steps = None;
+    batch = false; stream; checkpoint }
+
+let sweep_rows ~jobs (s : Job.sweep) =
+  let rows = ref [] in
+  Pool.with_pool ~jobs (fun pool ->
+      ignore
+        (Job.sweep ~pool ~on_point:(fun ~n:_ cells -> rows := cells :: !rows) s));
+  List.rev !rows
+
+(* The scalar sweep as it ran before replications streamed: every
+   replication over an unstreamed schedule, seeded, budgeted and laid
+   out in the checkpoint exactly as Job.sweep does. *)
+let live_rows ?checkpoint ?should_stop (s : Job.sweep) =
+  let source = Result.get_ok (Workload.parse s.source) in
+  Pool.with_pool ~jobs:1 @@ fun pool ->
+  List.mapi
+    (fun i n ->
+      let algo = Job.algorithm ~n s.algo in
+      let m =
+        Experiment.run_schedule_factory ~pool ?should_stop
+          ?checkpoint:
+            (Option.map (fun c -> Checkpoint.sub c ~base:(i * s.reps)) checkpoint)
+          ~replications:s.reps ~seed:s.seed
+          ~max_steps:((400 * n * n) + 10_000)
+          ~label:algo.name ~n
+          (fun rng ->
+            Workload.schedule ~stream:false source ~n ~sink:0
+              ~seed:(Prng.int rng 1_000_000_000))
+          algo
+      in
+      let p = Scaling.point_of m in
+      [
+        string_of_int n; Table.cell_f p.mean; Table.cell_f p.std_error;
+        Table.cell_ratio p.success;
+      ])
+    s.ns
+
+let knowledge_free =
+  [ "waiting"; "gathering"; "gathering-larger-id"; "gathering-more-data";
+    "gathering-hash" ]
+
+let with_sweep_sources f =
+  let trace = temp_path ".trace" in
+  Trace.save trace
+    (Generators.uniform_sequence (Prng.create 7) ~n:12 ~length:3000);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace)
+    (fun () ->
+      f
+        [ "uniform"; "sink-biased:5"; "round-robin"; "waypoint";
+          "markov:0.05:0.2"; "trace:" ^ trace ])
+
+let rows = Alcotest.(list (list string))
+
+(* Every knowledge-free algorithm on every source gives the table of
+   the unstreamed path, at jobs 1 and 2 and with or without stream;
+   waiting-greedy, which reads meet times, keeps the unstreamed form
+   and its table. *)
+let test_streamed_replications () =
+  with_sweep_sources @@ fun sources ->
+  List.iter
+    (fun source ->
+      List.iter
+        (fun algo ->
+          let label = Printf.sprintf "%s on %s" algo source in
+          let want = live_rows (scalar ~algo ~source ()) in
+          List.iter
+            (fun (jobs, stream) ->
+              Alcotest.check rows
+                (Printf.sprintf "%s, jobs %d%s" label jobs
+                   (if stream then ", stream" else ""))
+                want
+                (sweep_rows ~jobs (scalar ~stream ~algo ~source ())))
+            (if List.mem algo knowledge_free then
+               [ (1, false); (2, false); (2, true) ]
+             else [ (1, false); (2, false) ]))
+        (knowledge_free @ [ "waiting-greedy" ]))
+    sources
+
+(* A knowledge-free replication's schedule is chunked and decodes less
+   than one replication block past the interactions its run read; a
+   waiting-greedy replication's is not chunked. *)
+let test_replication_schedule_form () =
+  with_sweep_sources @@ fun sources ->
+  List.iter
+    (fun source_name ->
+      let source = Result.get_ok (Workload.parse source_name) in
+      List.iter
+        (fun name ->
+          let n = 12 in
+          let algo = Job.algorithm ~n name in
+          let label = Printf.sprintf "%s on %s" name source_name in
+          let streams = List.mem name knowledge_free in
+          Array.iteri
+            (fun k rng ->
+              let sched =
+                Job.sweep_schedule ~batch:false ~stream:false source ~n algo rng
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, replication %d: chunked" label k)
+                streams (Schedule.is_chunked sched);
+              let r =
+                Engine.run ~record:`Count ~max_steps:((400 * n * n) + 10_000)
+                  algo sched
+              in
+              if streams then begin
+                let ahead = Schedule.materialized sched - r.steps in
+                if ahead < 0 || ahead >= Experiment.replication_block then
+                  Alcotest.failf
+                    "%s, replication %d: decoded %d past the run's %d steps"
+                    label k ahead r.steps
+              end)
+            (Experiment.split_seeds ~replications:4 ~seed:5))
+        (knowledge_free @ [ "waiting-greedy" ]))
+    sources;
+  Alcotest.(check int) "block" 256 Experiment.replication_block
+
+(* A checkpoint the unstreamed path wrote, interrupted inside the first
+   point, resumes under the streamed path to the uninterrupted table:
+   the key and the per-slot payloads do not depend on the form. *)
+let test_live_checkpoint_resumes () =
+  let path = temp_path ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let s = scalar ~checkpoint:path ~algo:"gathering" ~source:"uniform" () in
+      let want = live_rows s in
+      let key =
+        Workload.sweep_checkpoint_key ~batch:false ~algo:s.algo
+          ~source:Workload.Uniform ~ns:s.ns ~reps:s.reps ~seed:s.seed
+          ~max_steps:None
+      in
+      let cp = Checkpoint.create ~path ~key in
+      let started = ref 0 in
+      let should_stop () =
+        incr started;
+        !started > 4
+      in
+      (match live_rows ~checkpoint:cp ~should_stop s with
+      | _ -> Alcotest.fail "the unstreamed sweep was not interrupted"
+      | exception Experiment.Interrupted -> ());
+      Alcotest.(check int) "slots the unstreamed path recorded" 4
+        (Checkpoint.completed cp);
+      Checkpoint.close cp;
+      Alcotest.check rows "resumed table" want (sweep_rows ~jobs:2 s);
+      let cp = Checkpoint.create ~path ~key in
+      Alcotest.(check int) "every slot recorded" 12 (Checkpoint.completed cp);
+      Checkpoint.close cp)
+
 let () =
   Alcotest.run "job"
     [
@@ -265,5 +426,14 @@ let () =
           Alcotest.test_case "rejected jobs fail with one line" `Quick
             test_rejected;
           Alcotest.test_case "neighbouring jobs run" `Quick test_accepted;
+        ] );
+      ( "streaming",
+        [
+          Alcotest.test_case "scalar sweep tables = unstreamed path" `Quick
+            test_streamed_replications;
+          Alcotest.test_case "replication schedule form" `Quick
+            test_replication_schedule_form;
+          Alcotest.test_case "unstreamed checkpoint resumes streamed" `Quick
+            test_live_checkpoint_resumes;
         ] );
     ]

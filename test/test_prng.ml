@@ -211,21 +211,20 @@ let prop_int_matches_reference =
       let x = Xoshiro256ss.create (Int64.of_int seed) in
       List.for_all (fun b -> Prng.int g b = reference_int x b) bounds)
 
-(* A uniform draw allocates nothing: the minor heap does not move over
-   10^5 draws of [Prng.int] (either kind of bound) or of the uniform
-   generator. *)
+(* The minor heap does not move over 10^5 calls of [draw]. *)
+let minor_words label draw =
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for t = 1 to 100_000 do
+    sum := !sum + draw t
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) label 0.0 words;
+  ignore (Sys.opaque_identity !sum)
+
+(* A uniform draw allocates nothing: 10^5 draws of [Prng.int] (either
+   kind of bound) or of the uniform generator. *)
 let test_draws_allocate_nothing () =
-  let draws = 100_000 in
-  let minor_words label draw =
-    let sum = ref 0 in
-    let before = Gc.minor_words () in
-    for t = 1 to draws do
-      sum := !sum + draw t
-    done;
-    let words = Gc.minor_words () -. before in
-    Alcotest.(check (float 0.0)) label 0.0 words;
-    ignore (Sys.opaque_identity !sum)
-  in
   let g = Prng.create 16 in
   minor_words "Prng.int, power-of-two bound" (fun _ -> Prng.int g 64);
   minor_words "Prng.int, other bound" (fun _ -> Prng.int g 63);
@@ -236,6 +235,65 @@ let test_draws_allocate_nothing () =
         (Printf.sprintf "Generators.uniform n=%d" n)
         (fun t -> Interaction.to_int (uniform t)))
     [ 64; 800 ]
+
+(* [Prng.float g 1.0] written out over the raw generator: 53 bits
+   over 2^53, times the bound 1. *)
+let reference_unit x =
+  float_of_int (Xoshiro256ss.next_bits x ~drop:11) /. 9007199254740992.0 *. 1.0
+
+let int_of_bool b = if b then 1 else 0
+
+(* The draws built on 53 uniform bits allocate nothing, and draw what
+   the [float g 1.0]-based formulas drew, on the same stream: 10^5
+   Bernoulli draws at each p (subnormal, non-dyadic, 0, 1, out of
+   range, NaN), geometric draws, and an alias table whose first entry
+   keeps with probability 2/3. *)
+let test_unit_draws () =
+  let g = Prng.create 17 in
+  List.iter
+    (fun p ->
+      minor_words
+        (Printf.sprintf "Prng.bernoulli %h" p)
+        (fun _ -> int_of_bool (Prng.bernoulli g p)))
+    [ 0.3; 1.0 ];
+  minor_words "Prng.geometric" (fun _ -> Prng.geometric g 0.2);
+  let dist = Prng.Alias.create [| 1.0; 2.0 |] in
+  minor_words "Prng.Alias.sample" (fun _ -> Prng.Alias.sample g dist);
+  let same label draw reference =
+    let g = Prng.create 18 and x = Xoshiro256ss.create 18L in
+    for k = 1 to 100_000 do
+      let got = draw g and want = reference x in
+      if got <> want then
+        Alcotest.failf "%s: draw %d is %d, the reference formula gives %d"
+          label k got want
+    done
+  in
+  List.iter
+    (fun p ->
+      same
+        (Printf.sprintf "Prng.bernoulli %h" p)
+        (fun g -> int_of_bool (Prng.bernoulli g p))
+        (fun x -> int_of_bool (reference_unit x < p)))
+    [
+      0.0; 0x1p-1074; 1e-17; 0.1; 1.0 /. 3.0; 0.5; 0.7;
+      1.0 -. 0x1p-53; 1.0; 1.5; -0.25; Float.nan;
+    ];
+  List.iter
+    (fun p ->
+      same
+        (Printf.sprintf "Prng.geometric %h" p)
+        (fun g -> Prng.geometric g p)
+        (fun x ->
+          let u = 1.0 -. reference_unit x in
+          int_of_float (Float.floor (log u /. log (1.0 -. p)))))
+    [ 0.05; 0.5; 0.9 ];
+  (* Weights 1 and 2 scale to 2/3 and 4/3: entry 0 keeps with
+     probability 2/3, else takes its alias 1; entry 1 always keeps. *)
+  let keep0 = 1.0 *. 2.0 /. 3.0 in
+  same "Prng.Alias.sample" (fun g -> Prng.Alias.sample g dist) (fun x ->
+      let i = reference_int x 2 in
+      let u = reference_unit x in
+      if i = 1 || u < keep0 then i else 1)
 
 let test_int_in_inclusive () =
   let g = Prng.create 4 in
@@ -400,6 +458,8 @@ let () =
           Alcotest.test_case "int rejects nonpositive" `Quick test_int_rejects_nonpositive;
           QCheck_alcotest.to_alcotest prop_int_matches_reference;
           Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
+          Alcotest.test_case "unit-interval draws: no allocation, same draws"
+            `Quick test_unit_draws;
           Alcotest.test_case "int_in inclusive" `Quick test_int_in_inclusive;
           Alcotest.test_case "float range" `Quick test_float_range;
           Alcotest.test_case "bool balanced" `Slow test_bool_balanced;
