@@ -51,9 +51,11 @@ let rejecting f =
    sees the shared disabled handle. [resources] turns on the memory
    gauges — single runs only: their values are not deterministic
    across job counts, and sweep's --metrics block is diffed at several
-   --jobs in CI. *)
-let telemetry_of ?(resources = false) ~metrics ~trace () =
-  if metrics || trace <> None then Instrument.create ~resources ()
+   --jobs in CI. A sweep sizes its span ring to the spans it records
+   (Job.sweep_span_capacity). *)
+let telemetry_of ?(resources = false) ?span_capacity ~metrics ~trace () =
+  if metrics || trace <> None then
+    Instrument.create ~resources ?span_capacity ()
   else Instrument.disabled
 
 let stream_flag =
@@ -72,7 +74,11 @@ let emit_trace tel = function
   | None -> ()
   | Some path ->
       Instrument.write_trace ~process_name:"doda" tel path;
-      Format.printf "trace written to %s@." path
+      Format.printf "trace written to %s@." path;
+      let dropped = Doda_obs.Span.dropped (Instrument.spans tel) in
+      if dropped > 0 then
+        Format.printf "(span ring full: the %d oldest spans were dropped)@."
+          dropped
 
 let metrics_flag =
   Arg.(
@@ -246,7 +252,13 @@ let sweep_cmd =
       Printf.eprintf "--jobs must be >= 1, got %d\n" jobs;
       exit 2
     end;
-    let tel = telemetry_of ~metrics ~trace () in
+    let job =
+      { Job.algo; ns; reps; seed; source; max_steps; batch; stream; checkpoint }
+    in
+    let tel =
+      telemetry_of ~span_capacity:(Job.sweep_span_capacity job) ~metrics
+        ~trace ()
+    in
     (* With a checkpoint, Ctrl-C is graceful: the handler flips a flag,
        the sweep stops at the next replication boundary with every
        finished slot already flushed, and we exit cleanly with a resume
@@ -256,16 +268,16 @@ let sweep_cmd =
       Sys.set_signal Sys.sigint
         (Sys.Signal_handle (fun _ -> Atomic.set stop true));
     let t = Table.create ~header:Job.sweep_header in
-    (* One pool for the whole sweep. Seeds are pre-split sequentially
-       (Experiment.replicate_par), so the table is identical whatever
-       --jobs is. *)
+    (* One pool for the whole sweep: a scalar sweep fans each point's
+       replications over it, a batched one its points. Seeds are
+       pre-split sequentially and rows come in ns order, so the table
+       is identical whatever --jobs is. *)
     let outcome =
       Doda_sim.Pool.with_pool ~jobs @@ fun pool ->
       Job.sweep ~pool ~telemetry:tel
         ~should_stop:(fun () -> Atomic.get stop)
         ~on_point:(fun ~n:_ cells -> Table.add_row t cells)
-        { Job.algo; ns; reps; seed; source; max_steps; batch; stream;
-          checkpoint }
+        job
     in
     (match outcome with
     | Job.Interrupted path ->
@@ -342,9 +354,9 @@ let sweep_cmd =
              different measurement from the default's fresh schedule per \
              replication). Every named algorithm is deterministic, so a \
              point is one run repeated $(i,R) times — executed once — and \
-             its stderr is 0. Works with $(b,--stream) in bounded memory — \
-             block decodes are pipelined over the worker domains — and \
-             needs a batch-capable algorithm.")
+             its stderr is 0. The points run across the worker domains, \
+             each on one domain. Works with $(b,--stream) in bounded \
+             memory and needs a batch-capable algorithm.")
   in
   let term =
     Term.(const sweep $ algo_arg $ ns $ reps $ seed_arg $ source_arg

@@ -346,6 +346,17 @@ let coin_reps ~limit ~record ~stats ~rngs ~sink_only ~p schedule r =
           Array.init n (fun v -> planes.((v * w) + word) land bit <> 0);
       })
 
+(* The one classification of the batch rules: a coin rule draws per
+   replication, every other rule is a deterministic function of the
+   schedule. *)
+let coin_rule = function
+  | Algorithm.Coin_sink p -> Some (true, p)
+  | Algorithm.Coin_gather p -> Some (false, p)
+  | Algorithm.Token_sink | Algorithm.Gather _ | Algorithm.Meet_policy _ -> None
+
+let runs_once (algo : Algorithm.t) =
+  match algo.batch with Some rule -> coin_rule rule = None | None -> false
+
 let run_reps ?max_steps ?(record = `All) ?rngs ?(stats = fresh_stats ())
     (algo : Algorithm.t) schedule r =
   if r < 0 then invalid_arg "Batch_engine.run_reps: negative replication count";
@@ -374,10 +385,9 @@ let run_reps ?max_steps ?(record = `All) ?rngs ?(stats = fresh_stats ())
              "Batch_engine.run_reps: %s needs one rng per replication"
              algo.name)
   in
-  match rule with
-  | Algorithm.Coin_sink p -> coin ~sink_only:true p
-  | Algorithm.Coin_gather p -> coin ~sink_only:false p
-  | Algorithm.Token_sink | Algorithm.Gather _ | Algorithm.Meet_policy _ ->
+  match coin_rule rule with
+  | Some (sink_only, p) -> coin ~sink_only p
+  | None ->
       (* Deterministic: every replication is the same execution, so run
          it once on the sweep's one-lane path and hand out copies. *)
       if r = 0 then [||]

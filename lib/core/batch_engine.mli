@@ -74,6 +74,14 @@ val batch_supported : Algorithm.t -> bool
     [algo.batch <> None]. Algorithms without a batch rule still run on
     {!sweep}'s generic lane. *)
 
+val runs_once : Algorithm.t -> bool
+(** Whether {!run_reps} executes [algo] once whatever the replication
+    count: its batch rule is deterministic ([Token_sink], [Gather],
+    [Meet_policy]), so every replication is the same run. [false] for
+    the coin rules and for an algorithm without a batch rule. A caller
+    that needs only what the runs share (a duration, a step count) can
+    ask [run_reps] for one result instead of [r] equal ones. *)
+
 val run_reps :
   ?max_steps:int ->
   ?record:[ `All | `Count ] ->

@@ -122,18 +122,24 @@ let choose g a =
   if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
   a.(int g (Array.length a))
 
+(* Loops over local float refs, which stay unboxed: a draw allocates
+   nothing. The sum runs left to right from 0, and the scan stops at
+   the first partial sum above the target, the last index being
+   reached by fallthrough. *)
 let weighted_index g w =
-  let total = Array.fold_left ( +. ) 0.0 w in
-  if total <= 0.0 then invalid_arg "Prng.weighted_index: weights sum to zero";
-  let target = float g total in
   let n = Array.length w in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    total := !total +. w.(i)
+  done;
+  if !total <= 0.0 then invalid_arg "Prng.weighted_index: weights sum to zero";
+  let target = float g !total in
+  let i = ref 0 and acc = ref 0.0 and found = ref false in
+  while (not !found) && !i < n - 1 do
+    acc := !acc +. w.(!i);
+    if target < !acc then found := true else incr i
+  done;
+  !i
 
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do

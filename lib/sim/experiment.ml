@@ -220,7 +220,8 @@ let run_schedule_factory ?pool ?jobs ?(telemetry = Instrument.disabled)
    mode of the scalar sweep.
 
    Seed discipline: the master's FIRST split is the schedule stream,
-   the next [replications] splits are the per-slot streams, all drawn
+   the next [replications] splits are the per-slot streams (drawn only
+   for a coin rule, the one kind that reads them), all drawn
    in slot order on the calling domain. Streams are independent across
    slots, so running only the uncached subset of lanes hands each lane
    exactly the stream an uninterrupted run would have — checkpointed
@@ -230,7 +231,15 @@ let run_batched_factory ?pool ?(telemetry = Instrument.disabled) ?checkpoint
     ~label ~n factory algo =
   let master = Prng.create seed in
   let sched_rng = Prng.split master in
-  let seeds = Array.init replications (fun _ -> Prng.split master) in
+  (* A rule the batch engine runs once draws nothing per replication:
+     it needs no per-slot streams, and one result whose duration every
+     pending slot takes (R results would only copy its holders R
+     times). *)
+  let once = Doda_core.Batch_engine.runs_once algo in
+  let seeds =
+    if once then [||]
+    else Array.init replications (fun _ -> Prng.split master)
+  in
   let durations = Array.make replications None in
   let todo = ref [] in
   for slot = replications - 1 downto 0 do
@@ -256,14 +265,17 @@ let run_batched_factory ?pool ?(telemetry = Instrument.disabled) ?checkpoint
       Instrument.with_span telemetry "schedule/build" (fun () ->
           factory sched_rng)
     in
-    let rngs = Array.map (fun slot -> seeds.(slot)) todo in
+    let rngs, lanes =
+      if once then ([||], 1)
+      else (Array.map (fun slot -> seeds.(slot)) todo, Array.length todo)
+    in
     let results =
       batch_pass telemetry ?pool ~max_steps ~record:`Count ~rngs algo schedule
-        (Array.length todo)
+        lanes
     in
     Array.iteri
       (fun i slot ->
-        let d = results.(i).Engine.duration in
+        let d = results.(if once then 0 else i).Engine.duration in
         (match checkpoint with
         | Some cp -> Checkpoint.record cp slot (encode_duration d)
         | None -> ());

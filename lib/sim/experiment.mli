@@ -65,6 +65,20 @@ val replicate_par :
     at any job count; disabled telemetry takes the exact
     uninstrumented code path. *)
 
+val dispatch_instrumented :
+  ?pool:Pool.t -> ?jobs:int -> telemetry:Doda_obs.Instrument.t ->
+  (Doda_obs.Instrument.t -> 'a -> 'b) -> 'a array -> 'b array
+(** [dispatch_instrumented ~telemetry f items] maps [f tel] over
+    [items] on [pool] (else a transient pool of [jobs] slots; [jobs]
+    absent or 1 runs on the calling domain), results in input order.
+    With [telemetry] enabled every execution slot records into its own
+    {!Doda_obs.Instrument.shard}, folded back with
+    {!Doda_obs.Instrument.absorb} in slot order after the batch
+    ({!Pool.map_array_sharded}), so counters are identical at any job
+    count; disabled telemetry hands [f] the shared off handle on the
+    plain {!Pool.map_array} path. An item that raises re-raises as in
+    {!Pool.map_array}. *)
+
 val replicate_batched :
   ?pool:Pool.t -> ?jobs:int -> ?telemetry:Doda_obs.Instrument.t ->
   ?max_steps:int -> ?record:[ `All | `Count ] ->
@@ -202,18 +216,25 @@ val run_batched_factory :
     is why it is a separate entry point rather than a mode of the
     scalar sweep. With any algorithm of {!Doda_core.Algorithms.names}
     a point is one run repeated R times, so its standard error is 0;
-    the run executes once. Each point records one ["batch"] span and
-    the [batch.*] counters of {!replicate_batched}.
+    the run executes once: when {!Doda_core.Batch_engine.runs_once}
+    holds, no per-slot stream is split and the pass asks for one
+    result, whose duration every pending slot takes. Each point
+    records one ["batch"] span and the [batch.*] counters of
+    {!replicate_batched}.
 
     Works on any schedule form the batch engine accepts; with a
     chunked factory the sweep streams in O(block) memory, and [pool]
-    adds a pipelined producer ({!Pool.pipeline}). Results are
-    bit-identical at any job count: the pool only moves {e where}
-    block decodes happen, never what they produce.
+    adds a pipelined producer ({!Pool.pipeline}). Without [pool] every
+    block is decoded inline on the calling domain, which is how
+    {!Job.sweep} runs a batched sweep's points, one per slot, across
+    its pool. Results are bit-identical at any job count: the pool
+    only moves {e where} block decodes happen, never what they
+    produce.
 
     Seed discipline: the master's first split is the schedule stream,
-    the next [replications] splits are the per-slot streams, all drawn
-    in slot order on the calling domain. [checkpoint] resumes
+    the next [replications] splits are the per-slot streams (coin
+    rules only), all drawn in slot order on the calling domain.
+    [checkpoint] resumes
     bit-identically: cached slots are skipped and the remaining lanes
     receive exactly the streams an uninterrupted run would have
     (streams are independent across slots, so running a subset of

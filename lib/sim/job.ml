@@ -235,7 +235,33 @@ let sweep_schedule ~batch ~stream source ~n algo rng =
   in
   build ~stream ?block source ~n ~sink:0 ~seed:(Prng.int rng 1_000_000_000)
 
-let sweep ~pool ?telemetry ?should_stop ~on_point (s : sweep) =
+(* A batched point is one run over one schedule, so the points
+   themselves go across the pool: each slot claims the next point in ns
+   order and builds, decodes and steps it alone, recording into its own
+   telemetry shard. Rows follow the finished prefix, so [emit] still
+   sees the points in order, once each. *)
+let across_pool ~pool ~telemetry ~emit run points =
+  let points = Array.of_list points in
+  let finished = Array.make (Array.length points) None in
+  let emitted = ref 0 and lock = Mutex.create () in
+  let finish i p =
+    Mutex.protect lock (fun () ->
+        finished.(i) <- Some p;
+        while !emitted < Array.length points && finished.(!emitted) <> None do
+          emit (Option.get finished.(!emitted));
+          incr emitted
+        done)
+  in
+  Array.to_list
+    (Experiment.dispatch_instrumented ~pool ~telemetry
+       (fun tel i ->
+         let p = run tel i points.(i) in
+         finish i p;
+         p)
+       (Array.init (Array.length points) Fun.id))
+
+let sweep ~pool ?(telemetry = Instrument.disabled) ?should_stop ~on_point
+    (s : sweep) =
   let source = source s.source in
   let points =
     List.map
@@ -257,7 +283,7 @@ let sweep ~pool ?telemetry ?should_stop ~on_point (s : sweep) =
                ~ns:s.ns ~reps:s.reps ~seed:s.seed ~max_steps:s.max_steps))
       s.checkpoint
   in
-  let point i (n, algo) =
+  let point telemetry i (n, algo) =
     (* One file spans the whole sweep: point [i] owns the slot range
        [i*reps .. (i+1)*reps). *)
     let checkpoint =
@@ -270,39 +296,58 @@ let sweep ~pool ?telemetry ?should_stop ~on_point (s : sweep) =
     let factory =
       sweep_schedule ~batch:s.batch ~stream:s.stream source ~n algo
     in
-    let m =
-      if s.batch then
-        (* Lockstep: ONE shared schedule per point, one run over it
-           standing for every replication; a pool pipelines streamed
-           block decodes. *)
-        Experiment.run_batched_factory ~pool ?telemetry ?checkpoint
-          ?should_stop ~replications:s.reps ~seed:s.seed ~max_steps ~label ~n
-          factory algo
-      else
-        Experiment.run_schedule_factory ~pool ?telemetry ?checkpoint
-          ?should_stop ~replications:s.reps ~seed:s.seed ~max_steps ~label ~n
-          factory algo
-    in
-    let p = Scaling.point_of m in
-    on_point ~n
+    Scaling.point_of
+      (if s.batch then
+         (* Lockstep: ONE shared schedule per point, one run over it
+            standing for every replication, on the slot that claimed
+            the point. *)
+         Experiment.run_batched_factory ~telemetry ?checkpoint ?should_stop
+           ~replications:s.reps ~seed:s.seed ~max_steps ~label ~n factory algo
+       else
+         Experiment.run_schedule_factory ~pool ~telemetry ?checkpoint
+           ?should_stop ~replications:s.reps ~seed:s.seed ~max_steps ~label ~n
+           factory algo)
+  in
+  let emit (p : Scaling.point) =
+    on_point ~n:p.n
       [
-        string_of_int n;
-        Table.cell_f p.Scaling.mean;
-        Table.cell_f p.Scaling.std_error;
-        Table.cell_ratio p.Scaling.success;
-      ];
-    p
+        string_of_int p.n;
+        Table.cell_f p.mean;
+        Table.cell_f p.std_error;
+        Table.cell_ratio p.success;
+      ]
+  in
+  let run_points () =
+    if s.batch then across_pool ~pool ~telemetry ~emit point points
+    else
+      List.mapi
+        (fun i p ->
+          let p = point telemetry i p in
+          emit p;
+          p)
+        points
   in
   Fun.protect
     ~finally:(fun () -> Option.iter Checkpoint.close cp)
     (fun () ->
-      match List.mapi point points with
+      match run_points () with
       | [] | [ _ ] -> Done None
       | points ->
           let fit = Scaling.exponent points in
           Done (Some (fit.slope, fit.r2))
       | exception Experiment.Interrupted ->
           Interrupted (Option.map Checkpoint.path cp))
+
+(* A traced sweep records a "replicate" and a "schedule/build" span per
+   replication of a scalar sweep, and a "schedule/build" and a "batch"
+   span per batched point; the slack covers a few more per sweep. *)
+let max_sweep_spans = 1 lsl 16
+
+let sweep_span_capacity (s : sweep) =
+  let per_point =
+    if s.batch then 2 else 2 * Int.min max_sweep_spans (Int.max 0 s.reps)
+  in
+  Int.min max_sweep_spans ((List.length s.ns * per_point) + 16)
 
 (* --- duels ------------------------------------------------------------ *)
 

@@ -135,14 +135,30 @@ val sweep :
   pool:Pool.t -> ?telemetry:Doda_obs.Instrument.t ->
   ?should_stop:(unit -> bool) -> on_point:(n:int -> string list -> unit) ->
   sweep -> sweep_end
-(** Check every point, open the checkpoint, then run the points in
-    order — {!Experiment.run_batched_factory} with [batch], else
-    {!Experiment.run_schedule_factory}, one workload instance per
-    stream handed to the factory — calling [on_point ~n cells] as each
-    point finishes ([cells] is the table row under {!sweep_header}).
-    The checkpoint is closed on every exit. Each stream's schedule is
-    {!sweep_schedule}'s.
+(** Check every point, open the checkpoint, then run the points, one
+    workload instance per stream handed to the factory. A scalar sweep
+    runs its points in order, each with
+    {!Experiment.run_schedule_factory}, whose replications fan out
+    over [pool]. A batched sweep ([batch]) runs its points across
+    [pool]: each slot claims the next point in ns order and runs it
+    alone with {!Experiment.run_batched_factory} (no pipeline),
+    recording into its own telemetry shard. Either way
+    [on_point ~n cells] is called once per point, in ns order, as the
+    finished prefix grows ([cells] is the table row under
+    {!sweep_header}); for a batched sweep it may be called from a
+    worker domain, never by two at once. Rows, checkpoints and counters
+    do not depend on the pool's size. On [should_stop], a batched sweep
+    lets the points already claimed finish, keeps them whole in the
+    checkpoint, and reports [Interrupted]. The checkpoint is closed on
+    every exit. Each stream's schedule is {!sweep_schedule}'s.
     @raise Rejected as described at the top. *)
+
+val sweep_span_capacity : sweep -> int
+(** The span ring a traced sweep needs to keep every span it records —
+    two per replication of a scalar sweep, two per batched point, plus
+    a few per sweep — capped at [2^16] spans (per shard). Past the cap
+    the ring keeps the newest spans and counts the dropped ones
+    ({!Doda_obs.Span.dropped}, [droppedEvents] in a Chrome trace). *)
 
 val sweep_schedule :
   batch:bool -> stream:bool -> Workload.t -> n:int ->

@@ -17,6 +17,9 @@ module Checkpoint = Doda_sim.Checkpoint
 module Pool = Doda_sim.Pool
 module Scaling = Doda_sim.Scaling
 module Table = Doda_sim.Table
+module Instrument = Doda_obs.Instrument
+module Metrics = Doda_obs.Metrics
+module Span = Doda_obs.Span
 
 let temp_path suffix =
   let path = Filename.temp_file "doda_job" suffix in
@@ -277,6 +280,14 @@ let sweep_rows ~jobs (s : Job.sweep) =
         (Job.sweep ~pool ~on_point:(fun ~n:_ cells -> rows := cells :: !rows) s));
   List.rev !rows
 
+(* A sweep's table row for a measured point, as Job.sweep formats it. *)
+let row_of m =
+  let p = Scaling.point_of m in
+  [
+    string_of_int p.n; Table.cell_f p.mean; Table.cell_f p.std_error;
+    Table.cell_ratio p.success;
+  ]
+
 (* The scalar sweep as it ran before replications streamed: every
    replication over an unstreamed schedule, seeded, budgeted and laid
    out in the checkpoint exactly as Job.sweep does. *)
@@ -286,23 +297,17 @@ let live_rows ?checkpoint ?should_stop (s : Job.sweep) =
   List.mapi
     (fun i n ->
       let algo = Job.algorithm ~n s.algo in
-      let m =
-        Experiment.run_schedule_factory ~pool ?should_stop
-          ?checkpoint:
-            (Option.map (fun c -> Checkpoint.sub c ~base:(i * s.reps)) checkpoint)
-          ~replications:s.reps ~seed:s.seed
-          ~max_steps:((400 * n * n) + 10_000)
-          ~label:algo.name ~n
-          (fun rng ->
-            Workload.schedule ~stream:false source ~n ~sink:0
-              ~seed:(Prng.int rng 1_000_000_000))
-          algo
-      in
-      let p = Scaling.point_of m in
-      [
-        string_of_int n; Table.cell_f p.mean; Table.cell_f p.std_error;
-        Table.cell_ratio p.success;
-      ])
+      row_of
+        (Experiment.run_schedule_factory ~pool ?should_stop
+           ?checkpoint:
+             (Option.map (fun c -> Checkpoint.sub c ~base:(i * s.reps)) checkpoint)
+           ~replications:s.reps ~seed:s.seed
+           ~max_steps:((400 * n * n) + 10_000)
+           ~label:algo.name ~n
+           (fun rng ->
+             Workload.schedule ~stream:false source ~n ~sink:0
+               ~seed:(Prng.int rng 1_000_000_000))
+           algo))
     s.ns
 
 let knowledge_free =
@@ -417,6 +422,163 @@ let test_live_checkpoint_resumes () =
       Alcotest.(check int) "every slot recorded" 12 (Checkpoint.completed cp);
       Checkpoint.close cp)
 
+(* --- batched points run across the pool -------------------------------- *)
+
+let batched ?(stream = false) ?checkpoint ~algo ~source ns =
+  { Job.algo; ns; reps = 5; seed = 9; source; max_steps = None; batch = true;
+    stream; checkpoint }
+
+(* The first point is the slowest, so the others finish before it. *)
+let slowest_first = [ 400; 16; 24; 32; 40; 48 ]
+
+(* The batched sweep as it ran before its points went across the pool:
+   one Experiment.run_batched_factory per point, in order, on a pool
+   that pipelines block decodes, seeded and budgeted as Job.sweep
+   does. *)
+let sequential_batched ?telemetry (s : Job.sweep) =
+  let source = Result.get_ok (Workload.parse s.source) in
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  List.map
+    (fun n ->
+      let algo = Job.algorithm ~n s.algo in
+      row_of
+        (Experiment.run_batched_factory ~pool ?telemetry ~replications:s.reps
+           ~seed:s.seed
+           ~max_steps:((400 * n * n) + 10_000)
+           ~label:algo.name ~n
+           (Job.sweep_schedule ~batch:true ~stream:s.stream source ~n algo)
+           algo))
+    s.ns
+
+(* Job.sweep at [jobs]: its outcome, the ns of every on_point call and
+   the rows, in call order. *)
+let traced_sweep ?telemetry ?should_stop ~jobs (s : Job.sweep) =
+  let ns = ref [] and cells = ref [] in
+  let outcome =
+    Pool.with_pool ~jobs (fun pool ->
+        Job.sweep ~pool ?telemetry ?should_stop
+          ~on_point:(fun ~n row ->
+            ns := n :: !ns;
+            cells := row :: !cells)
+          s)
+  in
+  (outcome, List.rev !ns, List.rev !cells)
+
+let counters tel = Metrics.summary (Instrument.metrics tel)
+
+(* Gathering and waiting streamed, waiting-greedy unstreamed and a
+   trace file: at jobs 1, 2 and 4 the rows and the counter block are
+   the sequential path's, and on_point sees every point once, in ns
+   order. *)
+let test_batched_across_pool () =
+  let trace = temp_path ".trace" in
+  Trace.save trace
+    (Generators.uniform_sequence (Prng.create 11) ~n:48 ~length:20_000);
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  List.iter
+    (fun (label, s) ->
+      let tel = Instrument.create () in
+      let want = sequential_batched ~telemetry:tel s in
+      let want_counters = counters tel in
+      List.iter
+        (fun jobs ->
+          let label = Printf.sprintf "%s, jobs %d" label jobs in
+          let tel = Instrument.create () in
+          let outcome, ns, got = traced_sweep ~telemetry:tel ~jobs s in
+          (match outcome with
+          | Job.Done _ -> ()
+          | Job.Interrupted _ -> Alcotest.failf "%s: interrupted" label);
+          Alcotest.(check (list int)) (label ^ ": on_point order") s.ns ns;
+          Alcotest.check rows (label ^ ": rows") want got;
+          Alcotest.(check string)
+            (label ^ ": counters") want_counters (counters tel))
+        [ 1; 2; 4 ])
+    [
+      ( "gathering, stream",
+        batched ~stream:true ~algo:"gathering" ~source:"uniform" slowest_first
+      );
+      ( "waiting, stream",
+        batched ~stream:true ~algo:"waiting" ~source:"uniform" slowest_first );
+      ( "waiting-greedy",
+        batched ~algo:"waiting-greedy" ~source:"uniform" slowest_first );
+      ( "gathering on trace:F",
+        batched ~algo:"gathering" ~source:("trace:" ^ trace) slowest_first );
+    ]
+
+(* At jobs 2 the first two points are claimed at once and a third claim
+   comes only once one of them has finished: stopping every claim from
+   the third on interrupts the sweep with whole points kept, and a
+   rerun resumes to the uninterrupted table, running only the points
+   the checkpoint lacks. *)
+let test_batched_interrupt_resumes () =
+  let path = temp_path ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let s =
+        batched ~stream:true ~checkpoint:path ~algo:"gathering"
+          ~source:"uniform" slowest_first
+      in
+      let want = sequential_batched s in
+      let claims = Atomic.make 0 in
+      let should_stop () = Atomic.fetch_and_add claims 1 >= 2 in
+      let outcome, _, early = traced_sweep ~should_stop ~jobs:2 s in
+      (match outcome with
+      | Job.Interrupted (Some p) ->
+          Alcotest.(check string) "checkpoint path" path p
+      | Job.Interrupted None -> Alcotest.fail "no checkpoint path"
+      | Job.Done _ -> Alcotest.fail "the sweep was not interrupted");
+      let key =
+        Workload.sweep_checkpoint_key ~batch:true ~algo:s.algo
+          ~source:Workload.Uniform ~ns:s.ns ~reps:s.reps ~seed:s.seed
+          ~max_steps:None
+      in
+      let kept =
+        let cp = Checkpoint.create ~path ~key in
+        let c = Checkpoint.completed cp in
+        Checkpoint.close cp;
+        c
+      in
+      if kept mod s.reps <> 0 || kept = 0 || kept > 2 * s.reps then
+        Alcotest.failf "kept %d slots: not one or two whole points" kept;
+      Alcotest.check rows "rows before the stop"
+        (List.filteri (fun i _ -> i < List.length early) want)
+        early;
+      let tel = Instrument.create () in
+      let outcome, ns, got = traced_sweep ~telemetry:tel ~jobs:2 s in
+      (match outcome with
+      | Job.Done _ -> ()
+      | Job.Interrupted _ -> Alcotest.fail "the rerun was interrupted");
+      Alcotest.(check (list int)) "rerun: on_point order" s.ns ns;
+      Alcotest.check rows "resumed table" want got;
+      Alcotest.(check int) "points the rerun ran"
+        (List.length s.ns - (kept / s.reps))
+        (Metrics.counter_value
+           (Metrics.counter (Instrument.metrics tel) "batch.runs")))
+
+(* A traced sweep's ring holds every span it records: 3 points of 800
+   replications record 4800, more than the default ring of 4096. *)
+let test_sweep_span_ring () =
+  let s =
+    { (scalar ~algo:"gathering" ~source:"uniform" ()) with
+      ns = [ 8; 12; 16 ]; reps = 800 }
+  in
+  let tel = Instrument.create ~span_capacity:(Job.sweep_span_capacity s) () in
+  ignore (traced_sweep ~telemetry:tel ~jobs:2 s);
+  let spans = Instrument.spans tel in
+  let count name =
+    List.length (List.filter (fun e -> e.Span.name = name) (Span.events spans))
+  in
+  Alcotest.(check int) "dropped" 0 (Span.dropped spans);
+  Alcotest.(check int) "replicate spans" 2400 (count "replicate");
+  Alcotest.(check int) "schedule/build spans" 2400 (count "schedule/build");
+  Alcotest.(check int) "batched: two per point" (6 + 16)
+    (Job.sweep_span_capacity { s with batch = true });
+  Alcotest.(check int) "capped" (1 lsl 16)
+    (Job.sweep_span_capacity { s with reps = 1 lsl 20 });
+  Alcotest.(check int) "no replications" 16
+    (Job.sweep_span_capacity { s with reps = -3 })
+
 let () =
   Alcotest.run "job"
     [
@@ -435,5 +597,14 @@ let () =
             test_replication_schedule_form;
           Alcotest.test_case "unstreamed checkpoint resumes streamed" `Quick
             test_live_checkpoint_resumes;
+          Alcotest.test_case "traced sweep keeps every span" `Quick
+            test_sweep_span_ring;
+        ] );
+      ( "batched",
+        [
+          Alcotest.test_case "points across the pool = sequential" `Quick
+            test_batched_across_pool;
+          Alcotest.test_case "interrupt keeps whole points, resumes" `Quick
+            test_batched_interrupt_resumes;
         ] );
     ]

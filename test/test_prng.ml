@@ -387,6 +387,60 @@ let test_weighted_index () =
   let ratio = float_of_int counts.(2) /. float_of_int counts.(0) in
   Alcotest.(check bool) "3:1 ratio" true (ratio > 2.7 && ratio < 3.3)
 
+(* [Prng.weighted_index] as it was written before its loops: a fold
+   for the total and a local recursive scan. *)
+let reference_weighted_index g w =
+  let total = Array.fold_left ( +. ) 0.0 w in
+  if total <= 0.0 then invalid_arg "Prng.weighted_index: weights sum to zero";
+  let target = Prng.float g total in
+  let n = Array.length w in
+  let rec scan i acc =
+    if i = n - 1 then i
+    else
+      let acc = acc +. w.(i) in
+      if target < acc then i else scan (i + 1) acc
+  in
+  scan 0 0.0
+
+(* A weighted draw allocates nothing and draws what the reference
+   draws, 10^5 times on each vector: one with a zero weight, one with
+   zeros ahead of the only weight, a single weight, non-dyadic
+   weights, and vectors whose last index is reached by fallthrough
+   (the scan never adds the last weight). *)
+let test_weighted_index_loops () =
+  List.iter
+    (fun w ->
+      let label =
+        String.concat "; " (Array.to_list (Array.map string_of_float w))
+      in
+      let g = Prng.create 19 in
+      minor_words
+        (Printf.sprintf "Prng.weighted_index [|%s|]" label)
+        (fun _ -> Prng.weighted_index g w);
+      let g = Prng.create 20 and r = Prng.create 20 in
+      let last = ref 0 in
+      for k = 1 to 100_000 do
+        let got = Prng.weighted_index g w
+        and want = reference_weighted_index r w in
+        if got <> want then
+          Alcotest.failf "[|%s|]: draw %d is %d, the reference gives %d" label
+            k got want;
+        if got = Array.length w - 1 then incr last
+      done;
+      if w.(Array.length w - 1) > 0.0 && !last = 0 then
+        Alcotest.failf "[|%s|]: the last index was never drawn" label)
+    [
+      [| 1.0; 2.0; 3.0 |];
+      [| 1.0; 0.0; 3.0 |];
+      [| 0.0; 0.0; 5.0 |];
+      [| 7.0 |];
+      [| 0.1; 0.2; 0.3; 0.4 |];
+      [| 0.5; 1e-300; 0.25 |];
+    ];
+  Alcotest.check_raises "all zero"
+    (Invalid_argument "Prng.weighted_index: weights sum to zero") (fun () ->
+      ignore (Prng.weighted_index (Prng.create 1) [| 0.0; 0.0 |]))
+
 let test_alias_matches_weights () =
   let g = Prng.create 13 in
   let w = [| 0.5; 2.0; 1.5; 0.0; 4.0 |] in
@@ -470,6 +524,8 @@ let () =
           Alcotest.test_case "sample without replacement" `Quick
             test_sample_without_replacement;
           Alcotest.test_case "weighted index" `Slow test_weighted_index;
+          Alcotest.test_case "weighted index: no allocation, same draws"
+            `Quick test_weighted_index_loops;
           Alcotest.test_case "geometric mean" `Slow test_geometric_mean;
           Alcotest.test_case "exponential mean" `Slow test_exponential_mean;
         ] );

@@ -677,7 +677,7 @@ let test_serve_cancel_mid_job () =
   Alcotest.(check int) "cancelled counter" 1 (counter_value tel "serve.cancelled");
   Alcotest.(check int) "nothing completed" 0 (counter_value tel "serve.completed")
 
-let sweep_job ?checkpoint ~ns ~reps ~seed () =
+let sweep_job ?checkpoint ?(batch = false) ~ns ~reps ~seed () =
   {
     Job.algo = "gathering";
     ns;
@@ -685,21 +685,22 @@ let sweep_job ?checkpoint ~ns ~reps ~seed () =
     seed;
     source = "uniform";
     max_steps = None;
-    batch = false;
+    batch;
     stream = false;
     checkpoint;
   }
 
-let sweep_request ?checkpoint ~ns ~reps ~seed () =
-  Protocol.Sweep (sweep_job ?checkpoint ~ns ~reps ~seed ())
+let sweep_request ?checkpoint ?batch ~ns ~reps ~seed () =
+  Protocol.Sweep (sweep_job ?checkpoint ?batch ~ns ~reps ~seed ())
 
 (* The same sweep offline, through the job layer doda sweep uses. *)
-let offline_sweep_cells ?checkpoint ~ns ~reps ~seed () =
+let offline_sweep_cells ?checkpoint ?batch ~ns ~reps ~seed () =
   let rows = ref [] in
   let on_point ~n:_ cells = rows := cells :: !rows in
   match
     Doda_sim.Pool.with_pool ~jobs:1 (fun pool ->
-        Job.sweep ~pool ~on_point (sweep_job ?checkpoint ~ns ~reps ~seed ()))
+        Job.sweep ~pool ~on_point
+          (sweep_job ?checkpoint ?batch ~ns ~reps ~seed ()))
   with
   | Job.Done _ -> List.rev !rows
   | Job.Interrupted _ -> Alcotest.fail "offline sweep interrupted"
@@ -883,6 +884,38 @@ let test_serve_concurrent_clients_bit_identical () =
         expected served)
     (List.combine specs results)
 
+(* A batched sweep on a jobs-2 server runs its points across the
+   pool; its Point frames still come in ns order, the slowest point
+   first, and equal the offline sweep's rows. *)
+let test_serve_batched_points_in_order () =
+  let ns = [ 400; 16; 24; 32; 40; 48 ] in
+  let _tel, points =
+    with_server ~jobs:2 (fun _srv endpoint ->
+        let points = ref [] in
+        let c = Client.connect endpoint in
+        let outcome =
+          Client.run_job c
+            ~on_response:(function
+              | Protocol.Point { n; cells; _ } -> points := (n, cells) :: !points
+              | _ -> ())
+            (sweep_request ~batch:true ~ns ~reps:5 ~seed:9 ())
+        in
+        Client.close c;
+        (match outcome with
+        | Ok responses -> (
+            match terminal_of responses with
+            | Protocol.Summary _ -> ()
+            | other ->
+                Alcotest.fail (Json.to_string (Protocol.response_to_json other)))
+        | Error e -> Alcotest.fail e);
+        List.rev !points)
+  in
+  Alcotest.(check (list int)) "Point frames in ns order" ns (List.map fst points);
+  Alcotest.(check (list (list string)))
+    "served = offline, cell for cell"
+    (offline_sweep_cells ~batch:true ~ns ~reps:5 ~seed:9 ())
+    (List.map snd points)
+
 let test_serve_drain_on_sigterm_checkpoints () =
   let ns = [ 10; 14 ] and reps = 5 and seed = 2016 in
   let ckpt = temp_path ".ckpt" in
@@ -1006,6 +1039,8 @@ let () =
             test_serve_cancel_mid_job;
           Alcotest.test_case "concurrent clients, bit-identical results" `Quick
             test_serve_concurrent_clients_bit_identical;
+          Alcotest.test_case "batched sweep points in ns order" `Quick
+            test_serve_batched_points_in_order;
           Alcotest.test_case "bad job parameters get a one-line error" `Quick
             test_serve_bad_job_parameters;
           Alcotest.test_case "no per-connection state outlives a connection"
