@@ -179,7 +179,7 @@ let run_cmd =
     rejecting @@ fun () ->
     let tel = telemetry_of ~resources:true ~metrics ~trace () in
     let sched, outcome =
-      Job.run ~telemetry:tel
+      Job.run ~telemetry:tel ~jobs:(Doda_sim.Pool.default_jobs ())
         { Job.algo; n; sink; seed; source; max_steps; problem = Some problem;
           stream; upload = None }
     in
@@ -396,10 +396,15 @@ let generate_cmd =
 (* ------------------------------------------------------------------ *)
 (* doda analyze                                                        *)
 
+(* analyze and classify read the whole trace, on as many domains as a
+   sweep would use. *)
+let read_trace path =
+  Job.reading (fun () -> Trace.load ~jobs:(Doda_sim.Pool.default_jobs ()) path)
+
 let analyze_cmd =
   let analyze path sink =
     rejecting @@ fun () ->
-    let s = Job.reading (fun () -> Trace.load path) in
+    let s = read_trace path in
     let n = Sequence.max_node s + 1 in
     let len = Sequence.length s in
     Format.printf "trace: %s@.nodes: %d, interactions: %d@." path n len;
@@ -442,7 +447,7 @@ let analyze_cmd =
 let classify_cmd =
   let classify path window bound =
     rejecting @@ fun () ->
-    let s = Job.reading (fun () -> Trace.load path) in
+    let s = read_trace path in
     Format.printf "trace: %s@." path;
     List.iter (Format.printf "%s@.") (Job.classify ?window ?bound s)
   in

@@ -12,22 +12,51 @@
     the line is malformed. Only spaces separate fields: a tab, CR or
     form feed is allowed at a line's ends, not between its fields.
     Line numbers in messages count physical lines, comments and blank
-    lines included.
+    lines included. A line longer than 1 MiB (1,048,576 bytes, its
+    newline not counted) fails with its line number when a file or
+    channel is read ({!load}, {!stream}, {!stream_channel}); a line
+    handed over as a string ({!parse_line}, {!stream_lines}) is already
+    in memory and has no such bound.
 
-    {b Reading.} {!load}, {!stream} and {!stream_channel} read through
-    one 64 KiB buffer refilled from the file or channel (a longer line
-    grows it). Every reader parses a line made of spaces and three
-    decimal fields of at most 18 digits in place, with no allocation;
-    any other line is read by the grammar above on a copy. *)
+    {b Reading.} Every reader scans a line made of spaces and three
+    decimal fields of at most 18 digits eight bytes at a time, in
+    place and with no allocation: a bit mask gives the length of a run
+    of digits and three multiplies its value. Any other line is read by
+    the grammar above on a copy. Files and channels are read through a
+    64 KiB buffer, which a longer line grows up to its 1 MiB bound.
+    {!load} reads a file in two passes over byte ranges cut just after
+    a newline, each range on a domain of its own: a validating pass
+    counts each range's interactions, lines and largest node, then a
+    second pass writes every range's interactions into one array of
+    exactly the counted length. Ranges are checked against each other
+    in file order, so every value and every message is the one a
+    sequential read gives. {!stream} validates on the calling domain
+    only: it exists to replay in O(block) memory, and a second domain
+    brings its own heap, about a quarter more peak RSS for a streamed
+    run. *)
 
 val save : string -> Sequence.t -> unit
 (** [save path s] writes [s]; times are the sequence indices. *)
 
-val load : string -> Sequence.t
-(** [load path] parses a trace in one pass over the file. Lines must
-    be sorted by time; times must be exactly [0, 1, 2, ...] (the model
-    has one interaction per time unit). @raise Failure with a
-    line-numbered message on malformed input. *)
+val load : ?jobs:int -> string -> Sequence.t
+(** [load path] parses a trace file. Lines must be sorted by time;
+    times must be exactly [0, 1, 2, ...] (the model has one
+    interaction per time unit). The file is cut into at most [jobs]
+    (default 1) ranges of at least 1 MiB each, and no more ranges than
+    [Domain.recommended_domain_count ()], read on as many domains (a
+    smaller file is one range and starts no domain); the result and
+    every message are the same at any [jobs]. [path] must be a regular
+    file: it is sized and read twice.
+    @raise Failure with a line-numbered message on malformed input, on
+    a file that is not regular (a pipe), or when the file changes
+    between the two passes.
+    @raise Invalid_argument on a pair {!Interaction.make} rejects. *)
+
+val load_split : string -> int list -> Sequence.t
+(** [load_split path offsets] is {!load} with the file cut at the
+    given byte offsets instead, each moved to the start of the next
+    line, every range on a domain of its own: the same sequence or the
+    same first failure wherever the cuts fall. *)
 
 val stream : string -> (int -> Interaction.t) * int * int
 (** [stream path] is [(gen, length, max_node)]: a validating first

@@ -21,10 +21,33 @@ let write oc frame =
   output_string oc payload;
   flush oc
 
-let really_input_opt ic buf len =
-  match really_input ic buf 0 len with
+let really_input_opt ic buf pos len =
+  match really_input ic buf pos len with
   | () -> true
   | exception End_of_file -> false
+
+(* A body is read in steps of at most [step] bytes into a buffer that
+   doubles, up to [len], as they arrive: a length prefix alone never
+   allocates more than one step. A body of at most one step is read in
+   one piece. *)
+let step = 65536
+
+let read_body ic len =
+  let rec go buf got =
+    if got = len then Some buf
+    else
+      let buf =
+        if got < Bytes.length buf then buf
+        else begin
+          let grown = Bytes.create (Int.min len (2 * got)) in
+          Bytes.blit buf 0 grown 0 got;
+          grown
+        end
+      in
+      let k = Int.min step (Bytes.length buf - got) in
+      if really_input_opt ic buf got k then go buf (got + k) else None
+  in
+  go (Bytes.create (Int.min len step)) 0
 
 let read ic =
   match input_char ic with
@@ -39,19 +62,18 @@ let read ic =
                  (Printf.sprintf "frame length %d out of bounds (max %d)" len
                     max_payload))
           else
-            let buf = Bytes.create len in
-            if not (really_input_opt ic buf len) then
-              Some
-                (Error
-                   (Printf.sprintf "truncated frame body (wanted %d bytes)" len))
-            else
-              let payload = Bytes.unsafe_to_string buf in
-              match tag with
-              | 'D' -> Some (Ok (Data payload))
-              | 'J' -> (
-                  match Doda_sim.Json.parse payload with
-                  | Ok j -> Some (Ok (Json j))
-                  | Error e -> Some (Error (Printf.sprintf "bad JSON frame: %s" e)))
-              | c ->
-                  Some
-                    (Error (Printf.sprintf "unknown frame tag %C" c)))
+            match read_body ic len with
+            | None ->
+                Some
+                  (Error
+                     (Printf.sprintf "truncated frame body (wanted %d bytes)" len))
+            | Some buf -> (
+                let payload = Bytes.unsafe_to_string buf in
+                match tag with
+                | 'D' -> Some (Ok (Data payload))
+                | 'J' -> (
+                    match Doda_sim.Json.parse payload with
+                    | Ok j -> Some (Ok (Json j))
+                    | Error e ->
+                        Some (Error (Printf.sprintf "bad JSON frame: %s" e)))
+                | c -> Some (Error (Printf.sprintf "unknown frame tag %C" c))))

@@ -23,7 +23,10 @@ type t =
 
 val max_payload : int
 (** Hard per-frame ceiling (16 MiB): a corrupt or hostile length
-    prefix fails fast instead of allocating unbounded memory. *)
+    prefix fails fast instead of allocating unbounded memory. Below
+    it, a body is read in steps of at most 64 KiB into a buffer that
+    grows as the bytes arrive, so a prefix that promises more than the
+    peer sends costs one step, not the promised length. *)
 
 val write : out_channel -> t -> unit
 (** Write one frame and flush.

@@ -121,9 +121,9 @@ let reading f =
 
 (* Only a trace file is read here; a generated source that passed
    [check] builds without error. *)
-let build ?telemetry ?block ~stream source ~n ~sink ~seed =
+let build ?telemetry ?block ?jobs ~stream source ~n ~sink ~seed =
   let build () =
-    Workload.schedule ?telemetry ~stream ?block source ~n ~sink ~seed
+    Workload.schedule ?telemetry ~stream ?block ?jobs source ~n ~sink ~seed
   in
   if Workload.is_finite source then reading build else build ()
 
@@ -158,7 +158,8 @@ type outcome =
   | Aggregated of Algorithm.t * Engine.result
   | Disseminated of Problem.t * Gossip.result
 
-let run ?(telemetry = Instrument.disabled) ?record ?on_step ?lines (r : run) =
+let run ?(telemetry = Instrument.disabled) ?record ?on_step ?lines ?jobs
+    (r : run) =
   (* An upload's header gives the job its n. *)
   let n = match r.upload with Some u -> u.nodes | None -> r.n in
   let problem = problem ~sink:r.sink r.problem in
@@ -178,7 +179,8 @@ let run ?(telemetry = Instrument.disabled) ?record ?on_step ?lines (r : run) =
   Option.iter (require ~name:r.algo ~batch:false ~stream source) algo;
   let sched =
     match (r.upload, lines) with
-    | None, _ -> build ~telemetry ~stream source ~n ~sink:r.sink ~seed:r.seed
+    | None, _ ->
+        build ~telemetry ?jobs ~stream source ~n ~sink:r.sink ~seed:r.seed
     | Some u, Some lines -> upload_schedule u ~n ~sink:r.sink lines
     | Some _, None -> invalid_arg "Job.run: an upload job needs its lines"
   in

@@ -102,15 +102,17 @@ type outcome =
 
 val run :
   ?telemetry:Doda_obs.Instrument.t -> ?record:[ `All | `Count ] ->
-  ?on_step:(unit -> unit) -> ?lines:(unit -> string option) -> run ->
-  Doda_dynamic.Schedule.t * outcome
+  ?on_step:(unit -> unit) -> ?lines:(unit -> string option) -> ?jobs:int ->
+  run -> Doda_dynamic.Schedule.t * outcome
 (** Resolve and check the job, build its schedule, then run it:
     aggregation on {!Doda_core.Engine.run} (in an ["engine/run"] span,
     with the telemetry's engine observers), [gossip:K] on
     {!Doda_core.Gossip.run} (in a ["gossip/run"] span). Returns the
     schedule with the full result. [on_step] is called after every
     interaction (a cancellation poll may raise from it). [lines]
-    supplies an upload's trace lines, [None] at the end.
+    supplies an upload's trace lines, [None] at the end. [jobs]
+    (default 1) is how many domains a trace file read without
+    [stream] may be read on ({!Workload.schedule}).
     @raise Rejected as described at the top: for an upload, also a
     malformed line, a node id not below the header's node count, or
     fewer lines than the header declares, each with its one-line

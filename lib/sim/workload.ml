@@ -95,7 +95,7 @@ let trace_node_count ~n ~sink ~nodes =
          "sink must be < %d, the larger of n and the trace's node count, got %d"
          n sink)
 
-let build ?(stream = false) ?block t ~n ~sink ~seed =
+let build ?(stream = false) ?block ?jobs t ~n ~sink ~seed =
   let rng = Prng.create seed in
   (* Streaming keeps the draw stream: the same generator function
      backs an [of_fun_chunked] schedule instead of an [of_fun] one, so
@@ -130,17 +130,17 @@ let build ?(stream = false) ?block t ~n ~sink ~seed =
         Schedule.of_fun_chunked ?block ~length ~n:(fit max_node) ~sink gen
       end
       else
-        let s = Trace.load path in
+        let s = Trace.load ?jobs path in
         Schedule.of_sequence ~n:(fit (Sequence.max_node s)) ~sink s
 
-let schedule ?(telemetry = Doda_obs.Instrument.disabled) ?stream ?block t ~n
-    ~sink ~seed =
+let schedule ?(telemetry = Doda_obs.Instrument.disabled) ?stream ?block ?jobs
+    t ~n ~sink ~seed =
   (* Only build the span name when someone is listening. *)
   if Doda_obs.Instrument.enabled telemetry then
     Doda_obs.Instrument.with_span telemetry
       ("workload/" ^ to_string t)
-      (fun () -> build ?stream ?block t ~n ~sink ~seed)
-  else build ?stream ?block t ~n ~sink ~seed
+      (fun () -> build ?stream ?block ?jobs t ~n ~sink ~seed)
+  else build ?stream ?block ?jobs t ~n ~sink ~seed
 
 (* The checkpoint key of a sweep, shared verbatim by `doda sweep
    --checkpoint` and the serve sweep handler: a checkpoint written by

@@ -31,7 +31,7 @@ val syntax : string
 
 val schedule :
   ?telemetry:Doda_obs.Instrument.t -> ?stream:bool -> ?block:int ->
-  t -> n:int -> sink:int -> seed:int -> Doda_dynamic.Schedule.t
+  ?jobs:int -> t -> n:int -> sink:int -> seed:int -> Doda_dynamic.Schedule.t
 (** Instantiate the workload. Generator-backed workloads are unbounded;
     [Trace_file] is finite and may enlarge [n] to fit the trace's node
     ids. [telemetry] (default disabled) wraps construction in a
@@ -44,7 +44,9 @@ val schedule :
     meet-time knowledge is unavailable (fine for Gathering/Waiting).
     [block] is the chunked schedule's block size (default
     [Schedule.of_fun_chunked]'s); it changes no result and is ignored
-    without [stream].
+    without [stream]. [jobs] (default 1) is how many domains
+    [Trace.load] may read a [Trace_file] on without [stream]; it
+    changes no result either.
     @raise Sys_error / Failure on unreadable or malformed trace
     files, and Failure when [sink] is not below the larger of [n] and
     the trace's node count. *)

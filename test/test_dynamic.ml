@@ -562,6 +562,121 @@ let test_trace_rejects_gap () =
         (Failure "Trace: line 2: expected time 1, got 5") (fun () ->
           ignore (Trace.load path)))
 
+let write_trace path lines =
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc l; output_char oc '\n') lines)
+
+let raises what expected f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no exception, expected %s" what (Printexc.to_string expected)
+  | exception e ->
+      Alcotest.(check string) what (Printexc.to_string expected) (Printexc.to_string e)
+
+(* A file read in two ranges reports the fault a sequential read
+   reports, with the same line number and expected time, wherever the
+   cut falls around it: on the last line of the first range, the first
+   line of the second, or the first interaction line after a comment
+   that opens the second. *)
+let test_trace_split_faults () =
+  let line t = Printf.sprintf "%d %d %d" t (t mod 4) ((t mod 4) + 1) in
+  let lines a b = List.init (b - a) (fun k -> line (a + k)) in
+  let gap ~at t =
+    Failure (Printf.sprintf "Trace: line %d: expected time %d, got %d" at t (t + 2))
+  in
+  let faults =
+    [ ("time gap", (fun t -> [ line (t + 2) ]), gap);
+      ( "self-interaction",
+        (fun t -> [ Printf.sprintf "%d 2 2" t ]),
+        fun ~at:_ _ -> Invalid_argument "Interaction.make: self-interaction" );
+      ( "malformed line",
+        (fun t -> [ Printf.sprintf "%d 0 x" t ]),
+        fun ~at:_ t -> Failure (Printf.sprintf "Trace: malformed line: %d 0 x" t) );
+      ( "missing line",
+        (fun _ -> []),
+        fun ~at t ->
+          Failure
+            (Printf.sprintf "Trace: line %d: expected time %d, got %d" at t (t + 1)) ) ]
+  in
+  (* the two ranges, the fault's line number and the time it should carry *)
+  let placements fault =
+    [ ("last line of range 1", (lines 0 3 @ fault 3, lines 4 8), 4, 3);
+      ("first line of range 2", (lines 0 4, fault 4 @ lines 5 8), 5, 4);
+      ( "after a comment opening range 2",
+        (lines 0 4, ("# range 2" :: fault 4) @ lines 5 8),
+        6,
+        4 ) ]
+  in
+  with_temp_trace (fun path ->
+      List.iter
+        (fun (name, fault, expected) ->
+          List.iter
+            (fun (where, (first, second), at, t) ->
+              write_trace path (first @ second);
+              let cut =
+                List.fold_left (fun k l -> k + String.length l + 1) 0 first
+              in
+              let what = Printf.sprintf "%s, %s" name where in
+              raises (what ^ ", one range") (expected ~at t) (fun () ->
+                  Trace.load path);
+              raises (what ^ ", two ranges") (expected ~at t) (fun () ->
+                  Trace.load_split path [ cut ]))
+            (placements fault))
+        faults)
+
+(* A line longer than 1 MiB fails with its number in every reader of
+   files and channels, having grown the buffer no further than the
+   bound; a line of exactly 1 MiB still reads. *)
+let test_trace_line_bound () =
+  let max_line = 1 lsl 20 in
+  let long = "#" ^ String.make (2 * max_line) 'c' in
+  let too_long = Failure "Trace: line 2: longer than 1048576 bytes" in
+  with_temp_trace (fun path ->
+      write_trace path [ "0 0 1"; long; "1 0 1" ];
+      let before = Gc.allocated_bytes () in
+      raises "load" too_long (fun () -> Trace.load path);
+      let grown = Gc.allocated_bytes () -. before in
+      if grown >= 4. *. 1048576. then
+        Alcotest.failf "load allocated %.0f bytes for a 2 MiB line" grown;
+      raises "stream" too_long (fun () -> Trace.stream path);
+      List.iter
+        (fun cut ->
+          raises (Printf.sprintf "load_split at %d" cut) too_long (fun () ->
+              Trace.load_split path [ cut ]))
+        [ 3; 6; 7; 1000; max_line; String.length long ];
+      In_channel.with_open_bin path (fun ic ->
+          let gen = Trace.stream_channel ~length:2 ic in
+          ignore (gen 0);
+          raises "stream_channel" too_long (fun () -> gen 1));
+      List.iter
+        (fun (k, outcome) ->
+          write_trace path [ "0 0 1"; "#" ^ String.make (k - 1) 'c'; "1 0 1" ];
+          match outcome with
+          | None ->
+              Alcotest.(check int)
+                (Printf.sprintf "a %d-byte comment reads" k)
+                2
+                (Sequence.length (Trace.load path))
+          | Some e ->
+              raises (Printf.sprintf "a %d-byte comment" k) e (fun () ->
+                  Trace.load path))
+        [ (max_line - 1, None); (max_line, None); (max_line + 1, Some too_long) ])
+
+(* A file is sized and read twice, which a pipe does not allow: one
+   line says so. *)
+let test_trace_needs_a_regular_file () =
+  let path = Filename.temp_file "doda" ".fifo" in
+  Sys.remove path;
+  Unix.mkfifo path 0o600;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      (* the writer only opens and closes, so the reader's open returns *)
+      let writer = Thread.create (fun () -> close_out (open_out_bin path)) () in
+      raises "load"
+        (Failure (Printf.sprintf "Trace: %s is not a regular file (Illegal seek)" path))
+        (fun () -> Trace.load path);
+      Thread.join writer)
+
 (* A streamed run that stops before the end of its trace must not keep
    the file open: sweeps build one streamed schedule per replication. *)
 let test_trace_stream_closes_file () =
@@ -732,6 +847,12 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
           Alcotest.test_case "parse" `Quick test_trace_parse;
           Alcotest.test_case "rejects gap" `Quick test_trace_rejects_gap;
+          Alcotest.test_case "split reads report the sequential fault" `Quick
+            test_trace_split_faults;
+          Alcotest.test_case "a line is at most 1 MiB" `Quick
+            test_trace_line_bound;
+          Alcotest.test_case "a pipe is refused with one line" `Quick
+            test_trace_needs_a_regular_file;
           Alcotest.test_case "stream closes its file" `Quick
             test_trace_stream_closes_file;
         ] );

@@ -614,26 +614,33 @@ let trace_line_gen =
     [ (60, plain); (3, other_form); (3, ends); (6, skipped); (1, long_comment);
       (1, wide); (2, block); (3, bad) ]
 
+(* A file, the [delta] its declared length is off by, and six cut
+   offsets anywhere in it for split loads. *)
 let trace_file_arb =
   let gen =
     let open QCheck.Gen in
     let+ lines = list_size (frequency [ (1, return 0); (9, int_range 1 30) ]) trace_line_gen
     and+ final_newline = bool
-    and+ delta = int_range (-1) 1 in
+    and+ delta = int_range (-1) 1
+    and+ cuts = list_repeat 6 (float_bound_inclusive 1.0) in
     let _, rendered =
       List.fold_left
         (fun (t, acc) (render, times) -> (t + times, render t :: acc))
         (0, []) lines
     in
     let body = String.concat "\n" (List.rev rendered) in
-    ((if final_newline && lines <> [] then body ^ "\n" else body), delta)
+    let contents = if final_newline && lines <> [] then body ^ "\n" else body in
+    let len = float_of_int (String.length contents) in
+    (contents, delta, List.map (fun c -> int_of_float (c *. len)) cuts)
   in
-  QCheck.make gen ~print:(fun (contents, delta) ->
+  QCheck.make gen ~print:(fun (contents, delta, cuts) ->
       let shown =
         if String.length contents <= 400 then contents
         else String.sub contents 0 400 ^ "..."
       in
-      Printf.sprintf "delta %d, %d bytes: %S" delta (String.length contents) shown)
+      Printf.sprintf "delta %d, cuts %s, %d bytes: %S" delta
+        (String.concat "," (List.map string_of_int cuts))
+        (String.length contents) shown)
 
 let outcome f =
   match f () with
@@ -654,7 +661,7 @@ let drain gen length =
 
 let prop_trace_readers_match_reference =
   QCheck.Test.make ~count:150 ~name:"trace: every reader = the reference grammar"
-    trace_file_arb (fun (contents, delta) ->
+    trace_file_arb (fun (contents, delta, cuts) ->
       let path = Filename.temp_file "doda_prop" ".trace" in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
@@ -698,8 +705,18 @@ let prop_trace_readers_match_reference =
           let on_channel stream =
             In_channel.with_open_text path (fun ic -> drain (stream ~length ic) length)
           in
+          let split k =
+            ( Printf.sprintf "load_split (%d ranges)" (k + 1),
+              outcome (fun () ->
+                  ints (Trace.load_split path (List.filteri (fun i _ -> i < k) cuts)))
+              = expected )
+          in
           let checks =
             [ ("load", outcome (fun () -> ints (Trace.load path)) = expected);
+              ("load ~jobs:4", outcome (fun () -> ints (Trace.load ~jobs:4 path)) = expected);
+              split 1;
+              split 2;
+              split 6;
               ( "stream",
                 outcome (fun () ->
                     let gen, len, max_node = Trace.stream path in
@@ -725,11 +742,36 @@ let prop_trace_readers_match_reference =
               QCheck.Test.fail_reportf "differs from the reference: %s"
                 (String.concat ", " (List.map fst failed))))
 
+(* Lines of three fields of 1 to 18 random digits, leading zeros
+   included, with 0 to 3 spaces on each side of each field: every
+   field length the word scan can meet, and fields run together or
+   past 18 digits, which the reference rejects. *)
+let prop_parse_line_wide_fields =
+  let open QCheck.Gen in
+  let spaces = map (fun k -> String.make k ' ') (int_range 0 3) in
+  let field =
+    let+ lead = spaces and+ digits = string_size ~gen:numeral (int_range 1 18)
+    and+ trail = spaces in
+    lead ^ digits ^ trail
+  in
+  let line =
+    let+ t = field and+ u = field and+ v = field in
+    t ^ u ^ v
+  in
+  QCheck.Test.make ~count:3000
+    ~name:"trace: parse_line = the reference on fields of 1 to 18 digits"
+    (QCheck.make ~print:(Printf.sprintf "%S") line)
+    (fun l ->
+      outcome (fun () -> Trace.parse_line l)
+      = outcome (fun () -> Trace_oracle.parse_line l))
+
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "properties"
     [
-      ( "trace", [ to_alcotest prop_trace_readers_match_reference ] );
+      ( "trace",
+        [ to_alcotest prop_trace_readers_match_reference;
+          to_alcotest prop_parse_line_wide_fields ] );
       ( "model",
         List.map to_alcotest
           [

@@ -144,6 +144,38 @@ let test_frame_errors () =
   | _ -> Alcotest.fail "bad JSON must be Error");
   Sys.remove path
 
+(* A prefix that promises the largest frame but sends 10 bytes costs
+   one read step, not the 16 MiB it declared; a body that does arrive
+   in full reads back across the steps. *)
+let test_frame_body_grows () =
+  let path = temp_path ".frames" in
+  let oc = open_out_bin path in
+  output_char oc 'D';
+  output_binary_int oc Frame.max_payload;
+  output_string oc "0123456789";
+  close_out oc;
+  let before = Gc.allocated_bytes () in
+  let got = read_one path in
+  let grown = Gc.allocated_bytes () -. before in
+  (match got with
+  | Some (Error e) ->
+      Alcotest.(check string) "message" "truncated frame body (wanted 16777216 bytes)" e
+  | _ -> Alcotest.fail "a short body must be Error");
+  if grown >= 1048576. then
+    Alcotest.failf "a 10-byte body allocated %.0f bytes" grown;
+  List.iter
+    (fun len ->
+      let body = String.init len (fun i -> Char.chr (i land 255)) in
+      let oc = open_out_bin path in
+      Frame.write oc (Frame.Data body);
+      close_out oc;
+      match read_one path with
+      | Some (Ok (Frame.Data d)) ->
+          Alcotest.(check bool) (Printf.sprintf "%d bytes back" len) true (d = body)
+      | _ -> Alcotest.failf "a %d-byte frame must read back" len)
+    [ 0; 65536; 65537; 300_000 ];
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* The JSON parser (round-trip of the writer, plus strictness).       *)
 
@@ -997,6 +1029,8 @@ let () =
           QCheck_alcotest.to_alcotest frame_roundtrip;
           Alcotest.test_case "malformed frames are errors" `Quick
             test_frame_errors;
+          Alcotest.test_case "a body is read as it arrives" `Quick
+            test_frame_body_grows;
         ] );
       ( "json-parser",
         [
