@@ -144,21 +144,20 @@ let durations results =
 
 (* One schedule per trace, every algorithm against it: replications run
    on the pool, each worker building a single schedule from its rng and
-   sweeping the whole algorithm list over it in one lockstep pass
-   ([Batch_engine.sweep]: one schedule decode per step shared by every
-   live lane, one lazy stepper oracle shared by the meet-time
-   policies). The durations are bit-identical to consecutive
-   [Engine.run]s per algorithm — the batch differential tests enforce
-   it — because a schedule's content is a function of the seed alone.
-   Returns, per algorithm, the successful durations as floats. *)
-let shared_sweep ?(record = `Count) ?max_steps ?(reps = replications)
-    ?(seed = master_seed) schedule_of algos =
+   running [Engine.run] over it once per algorithm, in list order (so
+   a coin algorithm splits its master exactly as consecutive runs
+   would). A live schedule materialises once and its sink-meeting index
+   is shared by every meet-time policy. Returns, per algorithm, the
+   successful durations as floats. *)
+let shared_sweep ?max_steps schedule_of algos =
   let rows =
-    replicate ~replications:reps ~seed (fun rng ->
+    replicate ~replications ~seed:master_seed (fun rng ->
         let sched = schedule_of rng in
-        Array.map
-          (fun (r : Engine.result) -> r.Engine.duration)
-          (Batch_engine.sweep ~record ?max_steps algos sched))
+        Array.of_list
+          (List.map
+             (fun algo ->
+               (Engine.run ~record:`Count ?max_steps algo sched).duration)
+             algos))
   in
   List.mapi
     (fun idx _ ->
@@ -654,9 +653,8 @@ let lemmas () =
               Engine.run ~max_steps:(8 * tau) (Algorithms.waiting_greedy ~tau) sched
             in
             (* |L|: distinct nodes interacting with the sink within the
-               first tau interactions actually played. *)
-            let upto = Stdlib.min tau (Schedule.materialized sched) in
-            let meets = Schedule.meets_with_sink_upto sched upto in
+               first tau interactions. *)
+            let meets = Schedule.meets_with_sink_upto sched tau in
             let l_size = ref 0 in
             for v = 1 to n - 1 do
               if meets.(v) > 0 then incr l_size
@@ -1225,9 +1223,9 @@ let micro () =
   let rng = Prng.create master_seed in
   let seq50k = Generators.uniform_sequence rng ~n ~length:50_000 in
   let sched = Schedule.of_sequence ~n ~sink:0 seq50k in
-  (* Pre-materialise the meetTime index once so the query bench
-     measures lookups, not construction. *)
-  ignore (Schedule.next_meet_with_sink sched ~node:1 ~after:0 ~limit:49_999);
+  (* Index every sink meeting once so the query bench measures
+     lookups, not construction. *)
+  ignore (Schedule.meets_with_sink_upto sched 50_000);
   let prng_rng = Prng.create 1 in
   let tests =
     [

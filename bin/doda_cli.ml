@@ -158,7 +158,9 @@ let aggregation_report ~tel ~sink ~stream ~timeline sched algo result =
     Format.printf
       "offline prefix analysis skipped (--stream keeps no prefix)@."
   else begin
-    let prefix = Schedule.prefix sched (Schedule.materialized sched) in
+    (* The interactions the run played, not the materialised prefix: a
+       meet-time oracle may have read past the run's end. *)
+    let prefix = Schedule.prefix sched result.Engine.steps in
     Instrument.with_span tel "analysis/offline-opt" (fun () ->
         match Convergecast.opt ~n ~sink prefix 0 with
         | Some o ->

@@ -18,12 +18,6 @@ let of_sequence ~name s =
 
 let of_generator ~name gen = { name; next = (fun view -> Some (gen view.time)) }
 
-let of_schedule sched =
-  {
-    name = "schedule";
-    next = (fun view -> Doda_dynamic.Schedule.get sched view.time);
-  }
-
 let limit k adv =
   {
     name = Printf.sprintf "%s|%d" adv.name k;

@@ -32,9 +32,5 @@ val of_sequence : name:string -> Doda_dynamic.Sequence.t -> t
 val of_generator : name:string -> (int -> Doda_dynamic.Interaction.t) -> t
 (** Oblivious adversary from a time-indexed generator (never ends). *)
 
-val of_schedule : Doda_dynamic.Schedule.t -> t
-(** Oblivious adversary replaying a schedule ([None] past a finite
-    end). *)
-
 val limit : int -> t -> t
 (** [limit k adv] plays [adv] for at most [k] interactions. *)

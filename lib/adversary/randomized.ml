@@ -11,20 +11,8 @@ let weighted rng ~weights =
   Adversary.of_generator ~name:"randomized-weighted"
     (Generators.weighted_nodes rng ~weights)
 
-let weighted_schedule rng ~weights ~sink =
-  Schedule.of_fun ~n:(Array.length weights) ~sink
-    (Generators.weighted_nodes rng ~weights)
-
 let sink_weights ~n ~sink ~sink_weight =
   Array.init n (fun u -> if u = sink then sink_weight else 1.0)
-
-let sink_biased rng ~n ~sink_weight =
-  (* By convention the biased node is node 0 when used through the
-     adversary interface; prefer [sink_biased_schedule] which names the
-     sink explicitly. *)
-  Adversary.of_generator ~name:"randomized-sink-biased"
-    (Generators.weighted_nodes rng
-       ~weights:(sink_weights ~n ~sink:0 ~sink_weight))
 
 let sink_biased_schedule rng ~n ~sink ~sink_weight =
   Schedule.of_fun ~n ~sink

@@ -13,13 +13,8 @@ val uniform_schedule : Doda_prng.Prng.t -> n:int -> sink:int -> Doda_dynamic.Sch
 val weighted : Doda_prng.Prng.t -> weights:float array -> Adversary.t
 (** Endpoints drawn (distinctly) proportionally to per-node weights. *)
 
-val weighted_schedule :
-  Doda_prng.Prng.t -> weights:float array -> sink:int -> Doda_dynamic.Schedule.t
-
-val sink_biased : Doda_prng.Prng.t -> n:int -> sink_weight:float -> Adversary.t
-(** All nodes weight 1, the sink weighted [sink_weight]: a one-knob
-    non-uniform adversary ([sink_weight = 1.] recovers near-uniform
-    pair sampling up to the two-endpoint draw). *)
-
 val sink_biased_schedule :
   Doda_prng.Prng.t -> n:int -> sink:int -> sink_weight:float -> Doda_dynamic.Schedule.t
+(** All nodes weight 1, the sink weighted [sink_weight]: a one-knob
+    non-uniform adversary ([sink_weight = 1.] recovers near-uniform
+    pair sampling up to the two-endpoint draw), as a lazy schedule. *)

@@ -3,17 +3,7 @@ type instance = {
   decide : time:int -> Doda_dynamic.Interaction.t -> int option;
 }
 
-type gather_tiebreak = To_smaller | To_larger | To_hash | To_heavier
-
-type batch_rule =
-  | Token_sink
-  | Coin_sink of float
-  | Gather of gather_tiebreak
-  | Coin_gather of float
-  | Meet_policy of {
-      limit_of : time:int -> int;
-      fire : time:int -> int option -> bool;
-    }
+type batch_rule = Once | Coin_sink of float | Coin_gather of float
 
 type t = {
   name : string;
@@ -26,10 +16,8 @@ type t = {
 let no_observation ~time:_ _ = ()
 
 (* Deterministic fair-ish coin shared by every meet-time policy and the
-   hash gathering tiebreak (and their batch kernels, which must agree
-   bit-for-bit with the scalar instances): any fixed function of
-   (t, u1, u2) is admissible since the two unknown meet times are
-   exchangeable. *)
+   hash gathering tiebreak: any fixed function of (t, u1, u2) is
+   admissible since the two unknown meet times are exchangeable. *)
 let hash_coin ~time a b =
   let h = (time * 0x9E3779B1) lxor (a * 0x85EBCA77) lxor (b * 0xC2B2AE3D) in
   let h = (h lxor (h lsr 13)) * 0x27D4EB2F land max_int in

@@ -22,50 +22,35 @@ type instance = {
           [None]. Only invoked when both endpoints own data. *)
 }
 
-(** {1 Batch kernels}
+(** {1 Batch rules}
 
-    A batch rule is a declarative description of an algorithm's
-    decision function, precise enough for [Batch_engine] to advance
-    many lockstep runs without consulting per-run {!instance} closures
-    — token-style rules update a whole word of replications with one
-    [land]/[lor]. An algorithm that carries one {b must} decide
-    identically to its scalar instance on every interaction (the batch
-    differential tests enforce this); algorithms whose decisions need
-    arbitrary state (tree aggregation, full knowledge, future gossip)
-    leave [batch = None] and run on the batch engine's generic
-    instance lane. *)
-
-type gather_tiebreak =
-  | To_smaller  (** receiver is the smaller endpoint (plain Gathering) *)
-  | To_larger
-  | To_hash  (** receiver picked by {!hash_coin} *)
-  | To_heavier
-      (** receiver is the endpoint holding the larger aggregate
-          (ties to the smaller id) — needs per-run payload state. *)
+    A batch rule tells [Batch_engine.run_reps] how [R] replications of
+    an algorithm over one schedule relate. Every deterministic
+    algorithm — Waiting, Gathering and its variants, Waiting Greedy and
+    the other meet-time policies — is a function of the interaction
+    sequence, so its replications are one run: it carries [Once], and
+    [run_reps] executes its {!instance} once through [Engine.run]. Only
+    the coin algorithms draw per replication; their rules describe the
+    decision precisely enough for [run_reps] to advance a whole word of
+    replications with one [land] per interaction, and they must decide
+    identically to their scalar instances on every interaction (the
+    batch differential tests enforce this). Algorithms that need
+    knowledge a batched schedule cannot give (tree aggregation, full
+    knowledge, future gossip, exact Waiting Greedy) leave
+    [batch = None]. *)
 
 type batch_rule =
-  | Token_sink
-      (** Transmit to the sink on every sink interaction; otherwise do
-          nothing (Waiting). *)
+  | Once
+      (** Deterministic: every replication is the same run, executed
+          once. *)
   | Coin_sink of float
-      (** Token_sink gated by an independent Bernoulli(p) per
-          opportunity (coin-waiting). *)
-  | Gather of gather_tiebreak
-      (** Always transmit when both endpoints hold; the sink receives
-          when involved, else the tiebreak picks (Gathering family). *)
+      (** Transmit to the sink on a sink interaction, gated by an
+          independent Bernoulli(p) per opportunity; otherwise do
+          nothing (coin-waiting). *)
   | Coin_gather of float
-      (** Gather to the smaller endpoint, non-sink transmissions gated
-          by Bernoulli(p) (coin-gathering). *)
-  | Meet_policy of {
-      limit_of : time:int -> int;
-      fire : time:int -> int option -> bool;
-    }
-      (** The meet-time policy shape shared by Waiting Greedy, its
-          doubling variant, pure-greedy and sliding-window: compare the
-          endpoints' meet times capped at [limit_of ~time]; the
-          earlier-known endpoint receives if [fire] accepts the
-          sender's (possibly unknown) meet time; two unknowns fall back
-          to {!hash_coin}. *)
+      (** The sink receives when involved; elsewhere the larger
+          endpoint sends to the smaller one, gated by Bernoulli(p)
+          (coin-gathering). *)
 
 type t = {
   name : string;
@@ -75,7 +60,8 @@ type t = {
   requires : Knowledge.requirement list;
       (** Oracles the algorithm needs; checked by the engine. *)
   batch : batch_rule option;
-      (** Batch kernel equivalent to [make]'s instances, if any. *)
+      (** How [Batch_engine.run_reps] executes replications, if it
+          can. *)
   make : n:int -> sink:int -> Knowledge.t -> instance;
       (** Fresh instance for one run.
           @raise Invalid_argument when knowledge is insufficient. *)
@@ -85,10 +71,10 @@ val no_observation : time:int -> Doda_dynamic.Interaction.t -> unit
 (** A no-op [observe], for oblivious algorithms. *)
 
 val hash_coin : time:int -> int -> int -> bool
-(** The deterministic tiebreak coin shared by the meet-time policies,
-    the hash gathering variant and their batch kernels: a fixed
-    avalanche of [(time, a, b)], admissible wherever the two endpoints
-    are exchangeable. *)
+(** The deterministic tiebreak coin shared by the meet-time policies
+    and the hash gathering variant: a fixed avalanche of
+    [(time, a, b)], admissible wherever the two endpoints are
+    exchangeable. *)
 
 val check_knowledge : string -> Knowledge.t -> Knowledge.requirement list -> unit
 (** @raise Invalid_argument naming the algorithm and the missing

@@ -10,8 +10,8 @@
       n-token gossip that stops when the sink is full. The three
       readers of a gossip log agree because they seed and merge
       through this one module;
-    - {e lane masks}: {!Batch_engine} packs one replication or one
-      rival algorithm per bit, sized by {!words} and {!word_mask}. *)
+    - {e lane masks}: {!Batch_engine} packs one coin replication per
+      bit, sized by {!words} and {!word_mask}. *)
 
 val word_bits : int
 (** Bits per word: 63, the width of OCaml's native [int] ([Int64]

@@ -251,8 +251,6 @@ let last_transmission st =
         receiver = st.last_receiver;
       }
 
-let transmissions_so_far st = Run_log.to_list st.log
-
 let finish st stop =
   notify_finish st.obs
     {
@@ -294,11 +292,6 @@ let run_state st ~max_steps =
       | Some i -> exec_step st instance holds ~t:st.clock i
   done;
   finish st (Option.get !stop)
-
-let transmissions_of_node result node =
-  List.filter
-    (fun tr -> tr.sender = node || tr.receiver = node)
-    (transmissions result)
 
 let count_owners result =
   Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 result.holders

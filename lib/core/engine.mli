@@ -231,17 +231,11 @@ val last_transmission : state -> transmission option
 (** Most recent transmission, if any — tracked even under [`Count]
     recording. *)
 
-val transmissions_so_far : state -> transmission list
-(** Chronological. Empty under [`Count] recording. *)
-
 val finish : state -> stop_reason -> result
 (** Package the current state as a {!result} (e.g. after deciding to
     stop at a step limit). Runs [on_finish] observers. *)
 
 (** {1 Result helpers} *)
-
-val transmissions_of_node : result -> int -> transmission list
-(** Transmissions in which the node was sender or receiver. *)
 
 val count_owners : result -> int
 (** Number of nodes still owning data at the end. *)

@@ -5,7 +5,7 @@ let algorithm =
     Algorithm.name = "gathering";
     oblivious = true;
     requires = [];
-    batch = Some (Algorithm.Gather Algorithm.To_smaller);
+    batch = Some Algorithm.Once;
     make =
       (fun ~n:_ ~sink _knowledge ->
         {

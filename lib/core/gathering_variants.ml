@@ -15,14 +15,7 @@ let make tiebreak =
     Algorithm.name = "gathering-" ^ tiebreak_name tiebreak;
     oblivious = (match tiebreak with More_data -> false | _ -> true);
     requires = [];
-    batch =
-      Some
-        (Algorithm.Gather
-           (match tiebreak with
-           | Smaller_id -> Algorithm.To_smaller
-           | Larger_id -> Algorithm.To_larger
-           | More_data -> Algorithm.To_heavier
-           | Hash -> Algorithm.To_hash));
+    batch = Some Algorithm.Once;
     make =
       (fun ~n ~sink _knowledge ->
         let payload = Array.make n 1 in

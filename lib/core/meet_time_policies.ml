@@ -3,15 +3,13 @@ module Interaction = Doda_dynamic.Interaction
 let hash_coin = Algorithm.hash_coin
 
 (* Shared shape: compare capped meet times, transmit from the later
-   endpoint when [fire] accepts its (possibly unknown) meet time. The
-   batch kernel is the same [limit_of]/[fire] pair interpreted by
-   [Batch_engine], decision-for-decision. *)
+   endpoint when [fire] accepts its (possibly unknown) meet time. *)
 let policy ~name ~limit_of ~fire =
   {
     Algorithm.name;
     oblivious = true;
     requires = [ Knowledge.Meet_time ];
-    batch = Some (Algorithm.Meet_policy { limit_of; fire });
+    batch = Some Algorithm.Once;
     make =
       (fun ~n:_ ~sink knowledge ->
         let meet_time = Option.get knowledge.Knowledge.meet_time in

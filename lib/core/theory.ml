@@ -7,8 +7,6 @@ let harmonic k =
 
 let expected_broadcast n = float_of_int (n - 1) *. harmonic (n - 1)
 
-let broadcast_variance_bound n = float_of_int (n * n)
-
 let expected_waiting n =
   float_of_int (n * (n - 1)) /. 2.0 *. harmonic (n - 1)
 
@@ -22,10 +20,6 @@ let expected_last_meet n = float_of_int (n * (n - 1)) /. 2.0
 let expected_sink_meetings ~n ~k =
   if k < 0 || k > n - 1 then invalid_arg "Theory.expected_sink_meetings: bad k";
   float_of_int (n * (n - 1)) /. 2.0 *. (harmonic (n - 1) -. harmonic (n - 1 - k))
-
-let waiting_greedy_phase1 ~n ~f =
-  let nf = float_of_int n in
-  nf *. nf *. log nf /. (2.0 *. f)
 
 let tau_for_f ~n ~f =
   let nf = float_of_int n in

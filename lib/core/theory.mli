@@ -11,10 +11,6 @@ val expected_broadcast : int -> float
 (** Theorem 8: [E(X) = (n-1) H(n-1)] interactions for a broadcast
     (hence also for the full-knowledge convergecast). *)
 
-val broadcast_variance_bound : int -> float
-(** The [O(n^2)] variance bound from the proof of Theorem 8, with the
-    explicit constant of its integral bound: [n^2]. *)
-
 val expected_waiting : int -> float
 (** Theorem 9: [E(X_W) = (n(n-1)/2) H(n-1)]. *)
 
@@ -28,10 +24,6 @@ val expected_last_meet : int -> float
 val expected_sink_meetings : n:int -> k:int -> float
 (** Lemma 1: expected interactions until the sink has met [k] distinct
     nodes: [(n(n-1)/2) (H(n-1) - H(n-1-k))], for [0 <= k <= n-1]. *)
-
-val waiting_greedy_phase1 : n:int -> f:float -> float
-(** Theorem 10, first phase: [n^2 log n / (2 f)] expected interactions
-    for all of [L^c] to meet the [f] nodes of [L]. *)
 
 val recommended_tau : int -> int
 (** Corollary 3: [tau = n^{3/2} sqrt(log n)], the optimum of

@@ -143,11 +143,6 @@ let problem p ~n s log =
   | Problem.Aggregation { sink } -> execution ~n ~sink s log
   | Problem.Dissemination _ -> gossip ~n ~problem:p s log
 
-let problem_complete p ~n s log =
-  match p with
-  | Problem.Aggregation { sink } -> complete ~n ~sink s log
-  | Problem.Dissemination _ -> gossip_complete ~n ~problem:p s log
-
 let plan ~n ~sink s (p : Convergecast.plan) =
   let entries = ref [] in
   for v = 0 to n - 1 do

@@ -54,10 +54,6 @@ val problem :
     (including the duplicate-sender check), {!gossip} for
     [Dissemination]. *)
 
-val problem_complete :
-  Problem.t -> n:int -> Doda_dynamic.Sequence.t -> Run_log.t -> bool
-(** {!complete} or {!gossip_complete}, by problem family. *)
-
 val plan :
   n:int -> sink:int -> Doda_dynamic.Sequence.t -> Convergecast.plan -> violation list
 (** Check a convergecast plan by converting it to a transmission log. *)

@@ -5,7 +5,7 @@ let algorithm =
     Algorithm.name = "waiting";
     oblivious = true;
     requires = [];
-    batch = Some Algorithm.Token_sink;
+    batch = Some Algorithm.Once;
     make =
       (fun ~n:_ ~sink _knowledge ->
         {

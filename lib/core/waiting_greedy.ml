@@ -15,19 +15,9 @@ let make ?(exact = false) ~tau () =
       (if exact then [ Knowledge.Meet_time; Knowledge.Full_schedule ]
        else [ Knowledge.Meet_time ]);
     batch =
-      (* The capped variant is the fire-above-tau meet policy; exact
-         mode reads the schedule length at instance creation, so it
-         stays on the generic lane. *)
-      (if exact then None
-       else
-         Some
-           (Algorithm.Meet_policy
-              {
-                limit_of = (fun ~time:_ -> tau);
-                fire =
-                  (fun ~time:_ sender_meet ->
-                    match sender_meet with None -> true | Some m -> tau < m);
-              }));
+      (* Exact mode reads the schedule length, which a batched schedule
+         need not have. *)
+      (if exact then None else Some Algorithm.Once);
     make =
       (fun ~n:_ ~sink knowledge ->
         let meet_time = Option.get knowledge.Knowledge.meet_time in
@@ -82,17 +72,7 @@ let doubling ?(tau0 = 16) () =
     Algorithm.name = Printf.sprintf "waiting-greedy-doubling(tau0=%d)" tau0;
     oblivious = true;
     requires = [ Knowledge.Meet_time ];
-    batch =
-      Some
-        (Algorithm.Meet_policy
-           {
-             limit_of = (fun ~time -> current_tau time);
-             fire =
-               (fun ~time sender_meet ->
-                 match sender_meet with
-                 | None -> true
-                 | Some m -> current_tau time < m);
-           });
+    batch = Some Algorithm.Once;
     make =
       (fun ~n:_ ~sink knowledge ->
         let meet_time = Option.get knowledge.Knowledge.meet_time in

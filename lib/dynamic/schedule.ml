@@ -570,6 +570,11 @@ let no_meet_index which =
         knowledge needs of_fun or a frozen schedule)"
        which)
 
+(* Interactions a meet search indexes per round when it has to extend a
+   live schedule: large enough to amortise the call, small enough not
+   to run far past the meet it is looking for. *)
+let meet_chunk = 512
+
 let next_meet_with_sink sched ~node ~after ~limit =
   let count = n sched in
   if node < 0 || node >= count then
@@ -581,118 +586,39 @@ let next_meet_with_sink sched ~node ~after ~limit =
   else
     match sched with
     | Chunked _ -> no_meet_index "next_meet_with_sink"
-    | Live t -> (
-        ensure t (limit + 1);
-        match t.meets.(node) with
-        | None -> None
-        | Some v ->
-            let pos = first_above v after in
-            if pos < Int_vec.length v && Int_vec.get v pos <= limit then
-              Some (Int_vec.get v pos)
-            else None)
+    | Live t ->
+        (* Lazy search: meets are indexed in time order, so the first
+           indexed meet past [after] is the one a fully indexed schedule
+           would report. Until one is indexed, index [meet_chunk] more
+           interactions, never past [limit + 1] (policies probe with
+           limits far beyond where their runs end). The node's vector
+           may appear in any round, so it is read again each time. A
+           plain loop over refs: no closure, no allocation per probe. *)
+        let found = ref (-1) and searching = ref true in
+        while !searching do
+          (match Array.unsafe_get t.meets node with
+          | Some v ->
+              let pos = first_above v after in
+              if pos < Int_vec.length v then begin
+                found := Int_vec.get v pos;
+                searching := false
+              end
+          | None -> ());
+          if !searching then begin
+            let indexed = t.indexed in
+            if indexed > limit then searching := false
+            else begin
+              ensure t (Int.min (limit + 1) (indexed + meet_chunk));
+              (* A finite source stops growing at its end. *)
+              if t.indexed = indexed then searching := false
+            end
+          end
+        done;
+        if !found >= 0 && !found <= limit then Some !found else None
     | Frozen f ->
         let a = f.f_meets.(node) in
         let pos = first_above_arr a after in
         if pos < Array.length a && a.(pos) <= limit then Some a.(pos) else None
-
-(* ------------------------------------------------------------------ *)
-(* Batch-friendly step iteration: a stepper owns per-node cursors into
-   the sink-meeting index, so the lockstep batch engine's monotone
-   queries cost O(1) amortised instead of a binary search each, and —
-   decisively for generator schedules — the next-meet search
-   materialises only until the first meet past [after] is known,
-   instead of the eager [ensure (limit + 1)] of the plain oracle
-   (policies probe with limits of 100 n^2 while runs end orders of
-   magnitude earlier). Answers are identical to
-   [next_meet_with_sink] by construction: meets are indexed in
-   increasing time order, so the first meet found incrementally is the
-   first meet the fully-materialised index would report. *)
-
-type stepper = { st_sched : t; st_pos : int array }
-
-(* Interactions materialised per [ensure] when a stepper has to extend
-   a generator schedule: large enough to amortise the call, small
-   enough not to overshoot the probe limit by much. *)
-let stepper_chunk = 512
-
-let stepper sched =
-  (match sched with
-  | Live ({ source = Finite s; _ } as t) ->
-      (* Finite sources index in one O(len) pass up front (what
-         [freeze] would do), so every later query is cursor-only. *)
-      ensure t (Sequence.length s)
-  | Live _ | Frozen _ | Chunked _ -> ());
-  { st_sched = sched; st_pos = Array.make (n sched) 0 }
-
-let stepper_schedule st = st.st_sched
-
-let stepper_next_meet st ~node ~after ~limit =
-  let count = n st.st_sched in
-  if node < 0 || node >= count then
-    invalid_arg "Schedule.stepper_next_meet: node out of range";
-  if node = sink st.st_sched then begin
-    let candidate = after + 1 in
-    if candidate <= limit then Some candidate else None
-  end
-  else
-    match st.st_sched with
-    | Chunked _ -> no_meet_index "stepper_next_meet"
-    | Frozen f ->
-        let a = f.f_meets.(node) in
-        let len = Array.length a in
-        let p = ref (Array.unsafe_get st.st_pos node) in
-        (* Queries are monotone in the lockstep loop; re-synchronise by
-           binary search if a caller ever goes backwards. *)
-        if !p > 0 && Array.unsafe_get a (!p - 1) > after then
-          p := first_above_arr a after
-        else
-          while !p < len && Array.unsafe_get a !p <= after do
-            incr p
-          done;
-        Array.unsafe_set st.st_pos node !p;
-        if !p < len && Array.unsafe_get a !p <= limit then
-          Some (Array.unsafe_get a !p)
-        else None
-    | Live t ->
-        (* The node's meet vector may not exist yet (lazy allocation)
-           and may appear mid-search when [ensure] indexes its first
-           sink meeting, so re-read [t.meets.(node)] after every
-           materialisation step. *)
-        let vec_len () =
-          match Array.unsafe_get t.meets node with
-          | None -> 0
-          | Some v -> Int_vec.length v
-        in
-        let vec_get p =
-          match Array.unsafe_get t.meets node with
-          | None -> invalid_arg "Schedule.stepper_next_meet: empty meet index"
-          | Some v -> Int_vec.unsafe_get v p
-        in
-        let p = ref st.st_pos.(node) in
-        if !p > 0 && vec_get (!p - 1) > after then
-          p :=
-            (match Array.unsafe_get t.meets node with
-            | None -> 0
-            | Some v -> first_above v after);
-        let searching = ref true in
-        while !searching do
-          while !p < vec_len () && vec_get !p <= after do
-            incr p
-          done;
-          if !p < vec_len () then searching := false
-          else
-            match t.source with
-            | Finite _ -> searching := false (* fully indexed up front *)
-            | Generator _ ->
-                if t.indexed > limit then searching := false
-                else
-                  (* Progress is guaranteed: [t.indexed <= limit], so
-                     the target strictly exceeds the indexed prefix. *)
-                  ensure t (Stdlib.min (limit + 1) (t.indexed + stepper_chunk))
-        done;
-        st.st_pos.(node) <- !p;
-        if !p < vec_len () && vec_get !p <= limit then Some (vec_get !p)
-        else None
 
 let meets_with_sink_upto sched k =
   let count = n sched and sink_id = sink sched in

@@ -60,8 +60,8 @@ val of_fun_chunked :
     - {e strictly forward}: reading a time before the current block
       raises [Invalid_argument] — old interactions are gone;
     - {e no sink-meeting index}: {!next_meet_with_sink},
-      {!stepper_next_meet}, {!meets_with_sink_upto}, {!prefix} and
-      {!freeze} raise [Invalid_argument];
+      {!meets_with_sink_upto}, {!prefix} and {!freeze} raise
+      [Invalid_argument];
     - [gen] is still called exactly once per index in increasing
       order, but may run up to one block {e ahead} of the highest time
       read (whole blocks are decoded at once). Give each chunked
@@ -206,44 +206,20 @@ val prefix : t -> int -> Sequence.t
 val next_meet_with_sink : t -> node:int -> after:int -> limit:int -> int option
 (** [next_meet_with_sink s ~node ~after ~limit] is the smallest time
     [t' > after] with [I_{t'} = {node, sink}] and [t' <= limit], if
-    any; materialises at most up to [limit]. This is the paper's
-    [u.meetTime(t)] capped at [limit] — Waiting Greedy only ever
-    compares meet times against its parameter [tau], so a cap keeps
-    laziness without changing decisions. For [node = sink] the paper
-    defines meetTime as the identity, so [Some (after + 1)] is
-    returned (clipped to [limit]). *)
+    any. This is the paper's [u.meetTime(t)] capped at [limit] —
+    Waiting Greedy only ever compares meet times against its parameter
+    [tau], so a cap keeps laziness without changing decisions. For
+    [node = sink] the paper defines meetTime as the identity, so
+    [Some (after + 1)] is returned (clipped to [limit]).
 
-(** {1 Monotone meet probes}
-
-    A stepper is a set of mutable cursors into the sink-meeting index
-    of one schedule, built for lockstep consumers (the batch engine's
-    meet-time lanes) whose probes are monotone in time; the
-    interactions themselves are read through a {!cursor}. It keeps one
-    position per node, so repeated {!stepper_next_meet} probes cost
-    O(1) amortised, and on generator schedules the search materialises
-    {e only until the first meet past [after] is known} — in chunks of
-    512 interactions, not to [limit + 1] like {!next_meet_with_sink} —
-    while returning identical answers (meets are indexed in increasing
-    time order, so the first one found incrementally is the first one
-    the full index would report).
-
-    A stepper mutates the underlying live schedule (materialisation)
-    and its own cursors: like a live schedule it must stay confined to
-    one domain. Steppers over a {e frozen} schedule keep the schedule
-    immutable; only the stepper's private cursors move. *)
-
-type stepper
-
-val stepper : t -> stepper
-(** A fresh cursor at time 0. On a live finite schedule this builds
-    the complete sink-meeting index up front (one O(len) pass). *)
-
-val stepper_schedule : stepper -> t
-(** The schedule the stepper iterates. *)
-
-val stepper_next_meet : stepper -> node:int -> after:int -> limit:int -> int option
-(** Same contract and answers as {!next_meet_with_sink}, through the
-    stepper's cursors and lazy search. *)
+    On a live schedule the search is lazy: it reads the node's indexed
+    sink meetings first and, while none lies after [after], indexes 512
+    more interactions (materialising a generator that far) and looks
+    again. It never materialises past [limit + 1], and when it answers
+    [Some m] it stops within 512 interactions of [m] — policies probe
+    with limits far beyond where their runs end. The answers equal
+    those of a fully indexed schedule, since meets are indexed in time
+    order. A frozen schedule answers by binary search. *)
 
 val meets_with_sink_upto : t -> int -> int array
 (** [meets_with_sink_upto s k] counts, per node, the interactions with

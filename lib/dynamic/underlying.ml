@@ -5,9 +5,6 @@ let of_sequence ~n s =
   Sequence.iteri (fun _ i -> Static_graph.add_edge g (Interaction.u i) (Interaction.v i)) s;
   g
 
-let of_schedule_prefix sched k =
-  of_sequence ~n:(Schedule.n sched) (Schedule.prefix sched k)
-
 let recurrent_edges ~n s ~period =
   if period <= 0 then invalid_arg "Underlying.recurrent_edges: period must be positive";
   let len = Sequence.length s in

@@ -4,9 +4,6 @@
 val of_sequence : n:int -> Sequence.t -> Doda_graph.Static_graph.t
 (** [of_sequence ~n s] is the underlying graph of [s] on [n] nodes. *)
 
-val of_schedule_prefix : Schedule.t -> int -> Doda_graph.Static_graph.t
-(** Underlying graph of the first [k] interactions of a schedule. *)
-
 val recurrent_edges : n:int -> Sequence.t -> period:int -> Doda_graph.Static_graph.t
 (** [recurrent_edges ~n s ~period] keeps only edges that appear in
     {e every} window of [period] consecutive interactions that fits in

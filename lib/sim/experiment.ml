@@ -68,19 +68,19 @@ let replicate_par ?pool ?jobs ?(telemetry = Instrument.disabled) ~replications
     (fun tel rng -> Instrument.with_span tel "replicate" (fun () -> f rng))
     (split_seeds ~replications ~seed)
 
-(* One lockstep batch pass under a ["batch"] span, with its engine
-   counters folded into [tel]. [batch.rep_steps] counts the lane steps
-   actually executed: one per decode for a deterministic rule, which
-   runs once whatever the replication count. A pool pipelines the block
-   decodes of a chunked schedule; the producer starts inside the span,
-   so every block it decodes for the pass falls within the span. *)
-let batch_pass tel ?pool ?max_steps ~record ~rngs algo schedule count =
+(* One batch pass under a ["batch"] span, with its engine counters
+   folded into [tel]. [batch.rep_steps] counts the lane steps actually
+   executed: one per decode for a [Once] rule, which runs once whatever
+   the replication count. A pool pipelines the block decodes of a
+   chunked schedule; the producer starts inside the span, so every
+   block it decodes for the pass falls within the span. *)
+let batch_pass tel ?pool ~max_steps ~rngs algo schedule count =
   Instrument.with_span tel "batch" (fun () ->
       Option.iter (fun p -> Pool.pipeline p schedule) pool;
       let stats = Doda_core.Batch_engine.stats () in
       let results =
-        Doda_core.Batch_engine.run_reps ?max_steps ~record ~rngs ~stats algo
-          schedule count
+        Doda_core.Batch_engine.run_reps ~max_steps ~record:`Count ~rngs ~stats
+          algo schedule count
       in
       let m = Instrument.metrics tel in
       Doda_obs.Metrics.incr (Doda_obs.Metrics.counter m "batch.runs");
@@ -92,29 +92,6 @@ let batch_pass tel ?pool ?max_steps ~record ~rngs algo schedule count =
         stats.lane_steps;
       Instrument.record_chunk_stats tel schedule;
       results)
-
-let replicate_batched ?pool ?jobs ?(telemetry = Instrument.disabled) ?max_steps
-    ?(record = `Count) ~replications ~seed algo schedule =
-  if not (Doda_core.Batch_engine.batch_supported algo) then
-    invalid_arg
-      (Printf.sprintf
-         "Experiment.replicate_batched: %s has no batch rule; fall back to \
-          the scalar path — Experiment.replicate_par with Engine.run per \
-          replication"
-         algo.Doda_core.Algorithm.name);
-  (* One stream per replication, split up front in index order exactly
-     like [replicate_par]. The pass runs on the calling domain; a pool
-     only pipelines the block decodes of a chunked schedule. *)
-  let rngs = split_seeds ~replications ~seed in
-  let pass pool =
-    batch_pass telemetry ?pool ?max_steps ~record ~rngs algo schedule
-      replications
-  in
-  match (pool, jobs) with
-  | Some p, _ -> pass (Some p)
-  | None, Some j when j > 1 && Doda_dynamic.Schedule.is_chunked schedule ->
-      Pool.with_pool ~jobs:j (fun p -> pass (Some p))
-  | None, _ -> pass None
 
 let of_results ~label ~n results =
   let samples = ref [] in
@@ -270,8 +247,7 @@ let run_batched_factory ?pool ?(telemetry = Instrument.disabled) ?checkpoint
       else (Array.map (fun slot -> seeds.(slot)) todo, Array.length todo)
     in
     let results =
-      batch_pass telemetry ?pool ~max_steps ~record:`Count ~rngs algo schedule
-        lanes
+      batch_pass telemetry ?pool ~max_steps ~rngs algo schedule lanes
     in
     Array.iteri
       (fun i slot ->

@@ -79,49 +79,6 @@ val dispatch_instrumented :
     plain {!Pool.map_array} path. An item that raises re-raises as in
     {!Pool.map_array}. *)
 
-val replicate_batched :
-  ?pool:Pool.t -> ?jobs:int -> ?telemetry:Doda_obs.Instrument.t ->
-  ?max_steps:int -> ?record:[ `All | `Count ] ->
-  replications:int -> seed:int ->
-  Doda_core.Algorithm.t -> Doda_dynamic.Schedule.t ->
-  Doda_core.Engine.result array
-(** [replicate_batched ~replications ~seed algo sched] runs
-    [replications] lockstep replications of a batch-capable [algo]
-    over one shared schedule, in one {!Doda_core.Batch_engine.run_reps}
-    pass on the calling domain, whatever the schedule form. [record]
-    defaults to [`Count] (measurement paths consume durations).
-
-    With any algorithm of {!Doda_core.Algorithms.names} the
-    replications are one run repeated [replications] times (the
-    algorithms are deterministic functions of the schedule), executed
-    once; only coin algorithms give replications that differ.
-
-    A [pool] (or [jobs >= 2] on a chunked schedule) contributes
-    {!Pool.pipeline} parallelism: a producer task decodes the next
-    block of a chunked schedule while this consumer drains the
-    current one. Memory stays O(block), never O(T).
-
-    Streams come from {!split_seeds} exactly like {!replicate_par}:
-    replication [k] receives stream [k] whatever the schedule form or
-    job count, so results are bit-identical at any [jobs] (for coin
-    algorithms, the batch path draws from these per-replication
-    streams — not from the master captured at algorithm construction,
-    which the scalar [Engine.run] path splits).
-
-    [telemetry] records one ["batch"] span plus the [batch.runs] /
-    [batch.decodes] / [batch.rep_steps] counters: [rep_steps] counts
-    the lane steps actually executed, so [rep_steps / decodes] is the
-    decode amortisation (1 for a deterministic algorithm), and
-    dividing further by the replication count gives batch occupancy.
-    Chunked passes also fold in [stream.refills]
-    ({!Doda_obs.Instrument.record_chunk_stats} — the deterministic
-    counter only).
-
-    @raise Invalid_argument if the algorithm has no batch rule (the
-    message names the algorithm and the scalar fallback,
-    {!replicate_par} with [Engine.run]), or if [max_steps] is missing
-    for an unbounded schedule. *)
-
 val of_results : label:string -> n:int -> Doda_core.Engine.result array -> measurement
 
 (** {1 Replication schedules} *)
@@ -218,9 +175,17 @@ val run_batched_factory :
     a point is one run repeated R times, so its standard error is 0;
     the run executes once: when {!Doda_core.Batch_engine.runs_once}
     holds, no per-slot stream is split and the pass asks for one
-    result, whose duration every pending slot takes. Each point
-    records one ["batch"] span and the [batch.*] counters of
-    {!replicate_batched}.
+    result, whose duration every pending slot takes.
+
+    [telemetry] records, per point, one ["schedule/build"] span, one
+    ["batch"] span and the [batch.runs] / [batch.decodes] /
+    [batch.rep_steps] counters: [rep_steps] counts the lane steps
+    actually executed, so [rep_steps / decodes] is the decode
+    amortisation (1 for a [Once] algorithm), and dividing further by
+    the replication count gives batch occupancy. Chunked passes also
+    fold in [stream.refills]
+    ({!Doda_obs.Instrument.record_chunk_stats} — the deterministic
+    counter only).
 
     Works on any schedule form the batch engine accepts; with a
     chunked factory the sweep streams in O(block) memory, and [pool]
@@ -244,7 +209,8 @@ val run_batched_factory :
     one indivisible batch): in a multi-point sweep, interruption lands
     between points, leaving whole points checkpointed.
 
-    @raise Invalid_argument as {!replicate_batched}. *)
+    @raise Invalid_argument if the algorithm has no batch rule, or as
+    {!Doda_core.Batch_engine.run_reps}. *)
 
 val replicate_duels :
   ?pool:Pool.t -> ?jobs:int -> ?knowledge:Doda_core.Knowledge.t ->

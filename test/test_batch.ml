@@ -1,10 +1,10 @@
-(* Batch engine differentials: the lockstep bit-parallel paths must be
-   result-identical — stop reason, duration, steps, transmission log,
-   holder set, and for coin algorithms the PRNG draw sequence — to
-   running the scalar [Engine.run] once per replication or per
-   algorithm. Also covers the remainder batches (R not a multiple of
-   the word width), live-mask early termination of the coin lanes, and
-   the single execution behind a deterministic rule's replications. *)
+(* Batch engine differentials: [run_reps] must be result-identical —
+   stop reason, duration, steps, transmission log, holder set, and for
+   coin algorithms the PRNG draw sequence — to running the scalar
+   [Engine.run] once per replication. Also covers the remainder batches
+   (R not a multiple of the word width), live-mask early termination of
+   the coin lanes, the single execution behind a deterministic rule's
+   replications, and the lazy meet oracle those runs read. *)
 
 module Interaction = Doda_dynamic.Interaction
 module Schedule = Doda_dynamic.Schedule
@@ -115,64 +115,45 @@ let prop_coin_reps_match_scalar =
           (Coin_algorithms.coin_gathering, 0.25);
         ])
 
-(* Sweep: one lockstep pass over the schedule equals consecutive
-   scalar runs, algorithm by algorithm — including generic lanes
-   (full-knowledge) and coin lanes, whose master-stream splits happen
-   in the same order in both paths. *)
-let sweep_rivals n master =
+(* The lazy meet oracle: a meet-time rival over a live generator
+   schedule, whose sink meetings are indexed only as far as its probes
+   need, runs exactly as over the frozen sequence, whose index is
+   complete. The frozen sequence reaches past every limit a rival
+   probes, so no answer can differ for want of interactions. *)
+let meet_time_rivals n =
   [
-    Algorithms.waiting;
-    Algorithms.gathering;
-    Gathering_variants.make Gathering_variants.More_data;
-    Gathering_variants.make Gathering_variants.Hash;
     Algorithms.waiting_greedy ~tau:(Theory.recommended_tau n);
     Waiting_greedy.doubling ();
     Meet_time_policies.pure_greedy ~horizon:(10 * n * n);
     Meet_time_policies.sliding_window ~theta:n;
-    Coin_algorithms.coin_waiting master ~p:0.3;
-    Algorithms.full_knowledge;
   ]
 
-let prop_sweep_matches_scalar =
-  QCheck.Test.make ~count:40 ~name:"batch: sweep = consecutive scalar runs"
+let prop_lazy_oracle_matches_frozen =
+  QCheck.Test.make ~count:25 ~name:"meet-time rivals: of_fun run = frozen run"
     instance_arb
-    (fun ((n, _, _) as inst) ->
-      let sched = frozen_of inst in
-      let scalars =
-        List.map
-          (fun algo -> Engine.run algo sched)
-          (sweep_rivals n (Prng.create 77))
-      in
-      let batch = Batch_engine.sweep (sweep_rivals n (Prng.create 77)) sched in
-      List.length scalars = Array.length batch
-      && List.for_all2 same_result scalars (Array.to_list batch))
-
-(* Same sweep over a live generator schedule: the lazy stepper oracle
-   must not change any decision relative to the eager scalar oracle. *)
-let prop_sweep_generator_matches_scalar =
-  QCheck.Test.make ~count:25
-    ~name:"batch: sweep on generator schedule = scalar runs" instance_arb
     (fun (n, len, seed) ->
       let rng = Prng.create seed in
       let s = Generators.uniform_sequence rng ~n ~length:(Stdlib.max 2 len) in
       let sink = Prng.int rng n in
       let gen t = Doda_dynamic.Sequence.get s (t mod Doda_dynamic.Sequence.length s) in
       let max_steps = 4 * len in
-      let scalars =
-        List.map
-          (fun algo ->
-            Engine.run ~max_steps algo (Schedule.of_fun ~n ~sink gen))
-          (sweep_rivals n (Prng.create 99))
+      let horizon =
+        (2 * max_steps) + (10 * n * n) + Theory.recommended_tau n + 64
       in
-      let batch =
-        Batch_engine.sweep ~max_steps
-          (sweep_rivals n (Prng.create 99))
-          (Schedule.of_fun ~n ~sink gen)
+      let frozen =
+        Schedule.freeze
+          (Schedule.of_sequence ~n ~sink
+             (Doda_dynamic.Sequence.of_array (Array.init horizon gen)))
       in
-      List.for_all2 same_result scalars (Array.to_list batch))
+      List.for_all
+        (fun algo ->
+          same_result
+            (Engine.run ~max_steps algo frozen)
+            (Engine.run ~max_steps algo (Schedule.of_fun ~n ~sink gen)))
+        (meet_time_rivals n))
 
-(* run_reps over a generator schedule exercises the stepper decode
-   path and the Step_limit stop reason. *)
+(* run_reps over a generator schedule exercises the Step_limit stop
+   reason. *)
 let prop_run_reps_generator =
   QCheck.Test.make ~count:25
     ~name:"batch: run_reps on generator schedule = scalar run" instance_arb
@@ -273,46 +254,17 @@ let prop_streamed_coin_reps_match_frozen =
           (Coin_algorithms.coin_gathering, 0.25);
         ])
 
-(* Error paths, pinned verbatim: a batch-incapable algorithm must be
+(* Error path, pinned verbatim: a batch-incapable algorithm must be
    named, and the message must point at the scalar fallback. *)
 let test_no_batch_rule_messages () =
   let sched = frozen_of (6, 50, 1) in
   let expect_engine =
-    "Batch_engine.run_reps: full-knowledge has no batch rule (Token_sink / \
-     Coin_sink / Coin_gather / Gather / Meet_policy); fall back to the \
-     scalar Engine.run per replication (Experiment.replicate_par)"
+    "Batch_engine.run_reps: full-knowledge has no batch rule (Once / \
+     Coin_sink / Coin_gather); run it with Engine.run"
   in
   Alcotest.check_raises "Batch_engine.run_reps names algo and fallback"
     (Invalid_argument expect_engine) (fun () ->
-      ignore (Batch_engine.run_reps Algorithms.full_knowledge sched 3));
-  let expect_experiment =
-    "Experiment.replicate_batched: full-knowledge has no batch rule; fall \
-     back to the scalar path — Experiment.replicate_par with Engine.run per \
-     replication"
-  in
-  Alcotest.check_raises "Experiment.replicate_batched names algo and fallback"
-    (Invalid_argument expect_experiment) (fun () ->
-      ignore
-        (Doda_sim.Experiment.replicate_batched ~jobs:1 ~replications:3 ~seed:1
-           Algorithms.full_knowledge sched))
-
-(* replicate_batched is one lockstep pass for every schedule form: a
-   chunked schedule must give the frozen schedule's results. *)
-let prop_replicate_batched_chunked =
-  QCheck.Test.make ~count:15
-    ~name:"batch: replicate_batched chunked = frozen" instance_arb
-    (fun ((_, _, seed) as inst) ->
-      let frozen = frozen_of inst in
-      let on_frozen =
-        Doda_sim.Experiment.replicate_batched ~jobs:1 ~record:`All
-          ~replications:70 ~seed:5 Algorithms.gathering frozen
-      in
-      let on_chunked =
-        Doda_sim.Experiment.replicate_batched ~jobs:1 ~record:`All
-          ~replications:70 ~seed:5 Algorithms.gathering
-          (chunked_of ~block:(1 + (seed mod 9)) inst)
-      in
-      Array.for_all2 same_result on_frozen on_chunked)
+      ignore (Batch_engine.run_reps Algorithms.full_knowledge sched 3))
 
 (* `Count recording drops the log but nothing else. *)
 let prop_count_mode =
@@ -417,13 +369,10 @@ let () =
           [
             prop_streamed_reps_match_frozen;
             prop_streamed_coin_reps_match_frozen;
-            prop_replicate_batched_chunked;
           ]
         @ [
             Alcotest.test_case "no-batch-rule messages" `Quick
               test_no_batch_rule_messages;
           ] );
-      ( "sweep",
-        List.map to_alcotest
-          [ prop_sweep_matches_scalar; prop_sweep_generator_matches_scalar ] );
+      ("oracle", [ to_alcotest prop_lazy_oracle_matches_frozen ]);
     ]

@@ -151,6 +151,29 @@ let test_schedule_meet_time_matches_scan () =
       (Printf.sprintf "trial %d" trial)
       (naive node after limit)
       (Schedule.next_meet_with_sink s ~node ~after ~limit)
+  done;
+  (* A generator over the same sequence, queried in random order (so
+     [after] also moves backwards) with limits up to 1999: the lazy
+     search answers as the scan does, never materialises past
+     [limit + 1], and stops within 512 interactions of a meet it
+     finds, however far the limit lies. *)
+  let live = Schedule.of_fun ~n ~sink:0 (Sequence.get raw) in
+  for trial = 1 to 400 do
+    let node = 1 + Prng.int rng (n - 1) in
+    let after = Prng.int rng 1999 - 1 in
+    let limit = after + 1 + Prng.int rng (1999 - after) in
+    let before = Schedule.materialized live in
+    let got = Schedule.next_meet_with_sink live ~node ~after ~limit in
+    let label = Printf.sprintf "live trial %d (after %d, limit %d)" trial after limit in
+    Alcotest.(check (option int)) label (naive node after limit) got;
+    let now = Schedule.materialized live in
+    if now > Int.max before (limit + 1) then
+      Alcotest.failf "%s: materialised %d, past limit + 1" label now;
+    match got with
+    | Some m when now > Int.max before (m + 512) ->
+        Alcotest.failf "%s: materialised %d, over 512 past the meet at %d" label
+          now m
+    | Some _ | None -> ()
   done
 
 let test_schedule_prefix () =
