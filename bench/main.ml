@@ -723,16 +723,15 @@ let knowledge () =
   List.iter
     (fun (label, gen_of) ->
       let horizon = 40 * n * n in
-      (* One frozen schedule per trace, generated and swept inside the
-         pooled worker: the trace materializes once, its sink-meeting
-         index is built once, and all five algorithms run against the
-         same immutable array. *)
+      (* One schedule per trace, generated and swept inside the pooled
+         worker: the trace materializes once, and all five algorithms
+         run against the same array and its lazily grown sink-meeting
+         index. *)
       let cells =
         shared_sweep
           (fun rng ->
-            Schedule.freeze
-              (Schedule.of_sequence ~n ~sink:0
-                 (Sequence.of_array (Array.init horizon (gen_of rng)))))
+            Schedule.of_sequence ~n ~sink:0
+              (Sequence.of_array (Array.init horizon (gen_of rng))))
           algorithms
         |> List.map (fun samples ->
                if Array.length samples = 0 then "-"
@@ -1029,8 +1028,8 @@ let policies () =
       ("gathering (no oracle)", fun _ -> Algorithms.gathering);
     ]
   in
-  (* All seven rivals share one lazy schedule per replication (the
-     schedule stays live, not frozen: pure-greedy probes the oracle up
+  (* All seven rivals share one lazy schedule per replication (a
+     generator, not a finite prefix: pure-greedy probes the oracle up
      to 100 n^2 and sliding-window past the current time, so the needed
      prefix length is policy-dependent). A lazy schedule's content at
      any index is fixed by the seed alone, so the durations match the
@@ -1122,11 +1121,12 @@ let mixed () =
     (fun q ->
       let measure algo =
         let outcomes =
-          Array.map
-            (fun ((r : Engine.result), _) -> r.Engine.duration)
-            (Experiment.replicate_duels ~pool:(Lazy.force pool) ~replications
-               ~seed:master_seed ~max_steps:horizon ~n ~sink:0 algo
-               (fun rng -> Doda_adversary.Mixed.adversary rng ~n ~sink:0 ~q))
+          replicate ~replications ~seed:master_seed (fun rng ->
+              let r, _ =
+                Doda_adversary.Duel.run ~max_steps:horizon ~n ~sink:0 algo
+                  (Doda_adversary.Mixed.adversary rng ~n ~sink:0 ~q)
+              in
+              r.Engine.duration)
         in
         let finished = Array.to_list outcomes |> List.filter_map Fun.id in
         let mean =
@@ -1295,7 +1295,7 @@ let micro () =
       (* Recording overhead of the run-core: count-only vs the flat SoA
          log vs the seed's boxed list, the latter emulated through an
          [on_transmit] observer consing exactly what the old engine
-         allocated per event. Same frozen schedule for all three. *)
+         allocated per event. Same finite schedule for all three. *)
       Test.make ~name:"record/count-only"
         (Staged.stage (fun () ->
              ignore (Engine.run ~record:`Count Algorithms.gathering sched)));
@@ -1353,7 +1353,7 @@ let batch_speedups : (string * float) list ref = ref []
 
 let batch () =
   header "BATCH | bit-parallel lockstep replications vs scalar engine"
-    "One frozen uniform schedule (n = 64); R replications of a coin\n\
+    "One finite uniform schedule (n = 64); R replications of a coin\n\
      algorithm, each drawing from its own Experiment.split_seeds stream.\n\
      scalar = R independent Engine.run, batch = one Batch_engine.run_reps\n\
      lockstep pass (63 replications per word). Only the coin rules have\n\
@@ -1365,9 +1365,8 @@ let batch () =
   let n = 64 in
   let rng = Prng.create master_seed in
   let sched =
-    Schedule.freeze
-      (Schedule.of_sequence ~n ~sink:0
-         (Generators.uniform_sequence rng ~n ~length:(40 * n * n)))
+    Schedule.of_sequence ~n ~sink:0
+      (Generators.uniform_sequence rng ~n ~length:(40 * n * n))
   in
   (* Unstabilised for the reason given in [micro]. *)
   let cfg =

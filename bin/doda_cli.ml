@@ -190,7 +190,7 @@ let run_cmd =
         gossip_report ~problem ~stream sched result
     | Job.Aggregated (algo, result) ->
         aggregation_report ~tel ~sink ~stream ~timeline sched algo result);
-    if stream then Instrument.record_chunk_stats ~nondeterministic:true tel sched;
+    if stream then Instrument.record_chunk_stats tel sched;
     if metrics then print_string (Instrument.summary tel);
     emit_trace tel trace
   in
@@ -408,6 +408,13 @@ let analyze_cmd =
     rejecting @@ fun () ->
     let s = read_trace path in
     let n = Sequence.max_node s + 1 in
+    if sink < 0 || sink >= n then
+      raise
+        (Job.Rejected
+           (if sink < 0 then Printf.sprintf "sink must be >= 0, got %d" sink
+            else
+              Printf.sprintf "sink must be < %d, the trace's node count, got %d"
+                n sink));
     let len = Sequence.length s in
     Format.printf "trace: %s@.nodes: %d, interactions: %d@." path n len;
     let g = Underlying.of_sequence ~n s in
@@ -449,9 +456,9 @@ let analyze_cmd =
 let classify_cmd =
   let classify path window bound =
     rejecting @@ fun () ->
-    let s = read_trace path in
+    let report = Job.classify ?window ?bound (read_trace path) in
     Format.printf "trace: %s@." path;
-    List.iter (Format.printf "%s@.") (Job.classify ?window ?bound s)
+    List.iter (Format.printf "%s@.") report
   in
   let path =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc:"Trace file.")

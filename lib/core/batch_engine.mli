@@ -21,7 +21,7 @@
     algorithm).
 
     {b Schedule forms.} The coin pass reads every form — finite,
-    frozen, generator and chunked — through one
+    generator and chunked — through one
     {!Doda_dynamic.Schedule.cursor}, the scalar engine's read path: a
     generator is materialised exactly as far as the pass reads, and a
     chunked (streamed) block is generated once and drained by every

@@ -96,12 +96,12 @@ let optimal_duration_lazy sched ~start ~horizon =
   in
   match Schedule.backing sched with
   | Some s ->
-      (* Zero-copy path: the schedule is finite or frozen, so the
-         binary search for the minimal ending runs directly on the
-         backing sequence with index bounds — no [Schedule.prefix]
-         copies per doubling attempt, and the feasibility probes share
-         one generation-stamped scratch instead of allocating an
-         informed array each. *)
+      (* Zero-copy path: the schedule is finite, so the binary search
+         for the minimal ending runs directly on the backing sequence
+         with index bounds — no [Schedule.prefix] copies per doubling
+         attempt, and the feasibility probes share one
+         generation-stamped scratch instead of allocating an informed
+         array each. *)
       let upper = Stdlib.min cap (Sequence.length s) - 1 in
       if start > upper then None
       else begin

@@ -46,9 +46,9 @@ val optimal_duration_lazy :
   Doda_dynamic.Schedule.t -> start:int -> horizon:int -> (plan * int) option
 (** Like {!plan} bounded by [horizon] interactions: a convergecast
     starting at [start] must fit within the first [horizon]
-    interactions or [None] is returned. On a finite or frozen schedule
-    this runs zero-copy on the backing sequence (binary search with
-    index bounds, one scratch shared by all feasibility probes) and
+    interactions or [None] is returned. On a finite schedule this runs
+    zero-copy on the backing sequence (binary search with index
+    bounds, one scratch shared by all feasibility probes) and
     the returned int is the minimal sufficient prefix length
     ([completion + 1]); on a generator-backed schedule it materialises
     geometrically growing prefixes and returns the prefix length

@@ -80,8 +80,8 @@ val run :
 (** [run ~problem sched] plays the schedule under k-token gossip
     (bit-plane implementation). [max_steps]/[record] follow
     {!Engine.run}'s rules exactly ([max_steps] mandatory for unbounded
-    schedules; [`Count] skips only the log). Works on live, frozen and
-    chunked schedules — gossip needs no meet-time oracle, so [--stream]
+    schedules; [`Count] skips only the log). Works on finite, generator
+    and chunked schedules — gossip needs no meet-time oracle, so [--stream]
     runs are first-class.
 
     @raise Invalid_argument if [problem] is not [Dissemination], or on

@@ -25,9 +25,9 @@ let finite_sequence sched what =
       invalid_arg
         (Printf.sprintf "Knowledge.for_schedule: %s requires a finite schedule" what)
   | Some len -> (
-      (* The requirement spans the whole schedule, and a finite or
-         frozen schedule hands out its backing sequence without the
-         O(len) copy [Schedule.prefix] would make. *)
+      (* The requirement spans the whole schedule, and a finite
+         schedule hands out its backing sequence without the O(len)
+         copy [Schedule.prefix] would make. *)
       match Schedule.backing sched with
       | Some seq -> seq
       | None -> Schedule.prefix sched len)

@@ -54,8 +54,6 @@ let target_owners = function
   | Aggregation _ -> 1
   | Dissemination _ -> not_aggregation "target_owners"
 
-let solved t ~owners = owners <= target_owners t
-
 let tokens = function
   | Dissemination { k } -> k
   | Aggregation _ -> not_dissemination "tokens"

@@ -58,9 +58,6 @@ val target_owners : t -> int
 (** The owner count at which the run has succeeded ([1]: only the sink
     still owns data). *)
 
-val solved : t -> owners:int -> bool
-(** [owners <= target_owners] — the termination predicate. *)
-
 (** {1 Dissemination parameters}
 
     Consulted by {!Gossip}; raise [Invalid_argument] on an

@@ -43,15 +43,6 @@ let iter f t =
       ~receiver:(Int_vec.get t.receivers i)
   done
 
-let fold f acc t =
-  let acc = ref acc in
-  for i = 0 to length t - 1 do
-    acc :=
-      f !acc ~time:(Int_vec.get t.times i) ~sender:(Int_vec.get t.senders i)
-        ~receiver:(Int_vec.get t.receivers i)
-  done;
-  !acc
-
 let to_list t =
   let acc = ref [] in
   for i = length t - 1 downto 0 do
@@ -87,11 +78,3 @@ let fire_times t ~n =
 let parents t ~n =
   refresh t ~n;
   t.parent_cache
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  iter
-    (fun ~time ~sender ~receiver ->
-      Format.fprintf ppf "t=%d %d -> %d@," time sender receiver)
-    t;
-  Format.fprintf ppf "@]"

@@ -45,9 +45,6 @@ val get : t -> int -> transmission
 val iter : (time:int -> sender:int -> receiver:int -> unit) -> t -> unit
 (** Iterate in log (chronological) order without allocating. *)
 
-val fold :
-  ('a -> time:int -> sender:int -> receiver:int -> 'a) -> 'a -> t -> 'a
-
 val to_list : t -> transmission list
 (** Chronological boxed list — compatibility with the seed engine's
     [result.transmissions] representation. *)
@@ -69,5 +66,3 @@ val fire_times : t -> n:int -> int array
 val parents : t -> n:int -> int array
 (** Entry [v] is the receiver of [v]'s transmission ([v]'s parent in
     the aggregation forest), [-1] if [v] never transmitted. *)
-
-val pp : Format.formatter -> t -> unit

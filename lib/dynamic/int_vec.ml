@@ -35,14 +35,6 @@ let last v =
 
 let to_array v = Array.sub v.data 0 v.len
 
-let of_array a =
-  let v =
-    { data = Array.make (Stdlib.max 8 (Array.length a)) 0; len = 0 }
-  in
-  Array.blit a 0 v.data 0 (Array.length a);
-  v.len <- Array.length a;
-  v
-
 let iter f v =
   for i = 0 to v.len - 1 do
     f (Array.unsafe_get v.data i)

@@ -1,6 +1,7 @@
-(** Growable int buffers, monomorphic on purpose: unlike ['a Vec.t],
-    stores compile to direct unboxed writes with no caml_modify write
-    barrier, which matters in the schedule-materialisation hot path.
+(** Growable int buffers, monomorphic on purpose: unlike a polymorphic
+    ['a array] buffer, stores compile to direct unboxed writes with no
+    caml_modify write barrier, which matters in the
+    schedule-materialisation hot path.
     Used for packed-interaction buffers and sink-meeting indexes. *)
 
 type t
@@ -26,8 +27,6 @@ val last : t -> int
 (** @raise Invalid_argument if empty. *)
 
 val to_array : t -> int array
-
-val of_array : int array -> t
 
 val iter : (int -> unit) -> t -> unit
 

@@ -39,5 +39,4 @@ let of_int_unchecked p = p
 let unsafe_of_ints (a : int array) = a
 let to_pair i = (u i, v i)
 let pp ppf i = Format.fprintf ppf "{%d,%d}" (u i) (v i)
-let to_string i = Printf.sprintf "{%d,%d}" (u i) (v i)
 let dummy = 1 (* {0,1} *)

@@ -47,7 +47,7 @@ val of_int : int -> t
 
 val of_int_unchecked : int -> t
 (** Trusted inverse of {!to_int} for flat buffers whose contents were
-    packed by this module (schedule buffers, frozen sequences). No
+    packed by this module (schedule buffers, sequences). No
     validation: only feed it values produced by {!to_int}. *)
 
 val unsafe_of_ints : int array -> t array
@@ -59,8 +59,6 @@ val to_pair : t -> int * int
 
 val pp : Format.formatter -> t -> unit
 (** Renders as [{u,v}]. *)
-
-val to_string : t -> string
 
 val dummy : t
 (** A fixed placeholder value ([{0,1}]) for array initialisation; never

@@ -17,16 +17,6 @@ type live = {
   mutable indexed : int;  (* interactions whose sink meetings are indexed *)
 }
 
-(* Immutable compact form: a flat packed int array plus the complete
-   sink-meeting index. Nothing mutates after construction, so a frozen
-   schedule is safe to share read-only across domains. *)
-type frozen = {
-  f_node_count : int;
-  f_sink : int;
-  f_seq : Sequence.t;
-  f_meets : int array array;  (* per node, sorted sink-meeting times *)
-}
-
 (* Double-buffered block prefetch, enabled via [chunk_prefetch]: a
    producer task (typically on a pool worker domain) decodes the *next*
    block into a spare buffer while the consumer drains the current one;
@@ -72,7 +62,7 @@ type chunked = {
   mutable c_prefetch : prefetch option;
 }
 
-type t = Live of live | Frozen of frozen | Chunked of chunked
+type t = Live of live | Chunked of chunked
 
 let default_block = 8192
 
@@ -138,12 +128,10 @@ let of_fun_chunked ?(block = default_block) ?length ~n ~sink gen =
 
 let n = function
   | Live t -> t.node_count
-  | Frozen f -> f.f_node_count
   | Chunked c -> c.c_node_count
 
 let sink = function
   | Live t -> t.sink_id
-  | Frozen f -> f.f_sink
   | Chunked c -> c.c_sink
 
 let length = function
@@ -151,7 +139,6 @@ let length = function
       match t.source with
       | Finite s -> Some (Sequence.length s)
       | Generator _ -> None)
-  | Frozen f -> Some (Sequence.length f.f_seq)
   | Chunked c -> c.c_length
 
 let materialized = function
@@ -159,7 +146,6 @@ let materialized = function
       match t.source with
       | Finite s -> Sequence.length s
       | Generator _ -> Int_vec.length t.buf)
-  | Frozen f -> Sequence.length f.f_seq
   | Chunked c -> c.c_base + c.c_len
 
 (* The sink-meeting vector of [node], allocated on first use. *)
@@ -311,7 +297,7 @@ let chunk_advance ~op c time =
          "Schedule.%s: chunked schedules are forward-only (time %d is before \
           the current block at %d, whose entries were discarded); rewinding \
           needs a replayable schedule — rebuild without --stream, e.g. \
-          of_fun or a frozen prefix instead of of_fun_chunked"
+          of_fun or a finite prefix instead of of_fun_chunked"
          op time c.c_base);
   (match c.c_length with
   | Some l when time >= l ->
@@ -341,7 +327,7 @@ let chunk_get ~op c time =
   chunk_advance ~op c time;
   Interaction.of_int_unchecked (Array.unsafe_get c.c_block (time - c.c_base))
 
-let is_chunked = function Chunked _ -> true | Live _ | Frozen _ -> false
+let is_chunked = function Chunked _ -> true | Live _ -> false
 
 let chunk_view sched time =
   match sched with
@@ -350,8 +336,7 @@ let chunk_view sched time =
       chunk_advance ~op:"chunk_view" c time;
       let off = time - c.c_base in
       (c.c_block, off, c.c_len - off)
-  | Live _ | Frozen _ ->
-      invalid_arg "Schedule.chunk_view: not a chunked schedule"
+  | Live _ -> invalid_arg "Schedule.chunk_view: not a chunked schedule"
 
 type chunk_stats = {
   refills : int;
@@ -372,7 +357,7 @@ let chunk_stats = function
             stalls = p.p_stalls;
             stall_ns = p.p_stall_ns;
           })
-  | Live _ | Frozen _ -> { refills = 0; prefetched = 0; stalls = 0; stall_ns = 0 }
+  | Live _ -> { refills = 0; prefetched = 0; stalls = 0; stall_ns = 0 }
 
 let chunk_prefetch sched ~submit ~now =
   match sched with
@@ -398,8 +383,7 @@ let chunk_prefetch sched ~submit ~now =
           in
           c.c_prefetch <- Some p;
           prefetch_queue c p)
-  | Live _ | Frozen _ ->
-      invalid_arg "Schedule.chunk_prefetch: not a chunked schedule"
+  | Live _ -> invalid_arg "Schedule.chunk_prefetch: not a chunked schedule"
 
 let get sched time =
   if time < 0 then invalid_arg "Schedule.get: negative time";
@@ -411,9 +395,6 @@ let get sched time =
       | Generator _ ->
           ensure t (time + 1);
           Some (Interaction.of_int_unchecked (Int_vec.get t.buf time)))
-  | Frozen f ->
-      if time < Sequence.length f.f_seq then Some (Sequence.get f.f_seq time)
-      else None
   | Chunked c -> (
       match c.c_length with
       | Some l when time >= l -> None
@@ -432,16 +413,11 @@ let get_exn sched time =
       | Generator _ ->
           ensure t (time + 1);
           Interaction.of_int_unchecked (Int_vec.get t.buf time))
-  | Frozen f ->
-      if time < Sequence.length f.f_seq then Sequence.get f.f_seq time
-      else invalid_arg "Schedule.get_exn: past the end of a finite schedule"
   | Chunked c -> chunk_get ~op:"get_exn" c time
 
 let backing = function
   | Live { source = Finite s; _ } -> Some s
-  | Live { source = Generator _; _ } -> None
-  | Frozen f -> Some f.f_seq
-  | Chunked _ -> None
+  | Live { source = Generator _; _ } | Chunked _ -> None
 
 (* The one forward read path of the run-cores. A kernel reads [I_t] as
    [blk.(t - base)] while [t < hi] and calls [advance] otherwise, so
@@ -469,7 +445,7 @@ let advance cur time =
       if time >= Array.length cur.blk then
         cur.blk <- Interaction.unsafe_of_ints (Int_vec.unsafe_data buf);
       cur.hi <- Int.min (Int_vec.length buf) (Array.length cur.blk)
-  | Live { source = Finite s; _ } | Frozen { f_seq = s; _ } ->
+  | Live { source = Finite s; _ } ->
       if time >= Sequence.length s then
         invalid_arg "Schedule.advance: past the end of a finite schedule";
       cur.blk <- Sequence.unsafe_array s;
@@ -489,7 +465,7 @@ let prefix sched k =
   | Some len when len < k -> invalid_arg "Schedule.prefix: schedule too short"
   | _ -> ());
   match sched with
-  | Live { source = Finite s; _ } | Frozen { f_seq = s; _ } ->
+  | Live { source = Finite s; _ } ->
       if k = Sequence.length s then s else Sequence.sub s ~pos:0 ~len:k
   | Live t ->
       ensure t k;
@@ -510,64 +486,11 @@ let first_above v x =
   done;
   !lo
 
-(* Same, over a plain sorted int array (frozen schedules). *)
-let first_above_arr (a : int array) x =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Array.unsafe_get a mid <= x then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let freeze sched =
-  match sched with
-  | Frozen _ -> sched
-  | Chunked _ ->
-      invalid_arg
-        "Schedule.freeze: chunked schedules are streaming-only (use of_fun \
-         and freeze a finite prefix instead)"
-  | Live t -> (
-      match t.source with
-      | Generator _ ->
-          invalid_arg
-            "Schedule.freeze: unbounded schedule (freeze a finite prefix \
-             instead)"
-      | Finite s ->
-          let n = t.node_count and sink = t.sink_id in
-          let meets = Array.make n None in
-          let len = Sequence.length s in
-          for time = 0 to len - 1 do
-            let i = Sequence.unsafe_get s time in
-            if Interaction.involves i sink then
-              let node = Interaction.other i sink in
-              let v =
-                match meets.(node) with
-                | Some v -> v
-                | None ->
-                    let v = Int_vec.create () in
-                    meets.(node) <- Some v;
-                    v
-              in
-              Int_vec.push v time
-          done;
-          Frozen
-            {
-              f_node_count = n;
-              f_sink = sink;
-              f_seq = s;
-              f_meets =
-                Array.map
-                  (function None -> [||] | Some v -> Int_vec.to_array v)
-                  meets;
-            })
-
-let is_frozen = function Frozen _ -> true | Live _ | Chunked _ -> false
-
 let no_meet_index which =
   invalid_arg
     (Printf.sprintf
        "Schedule.%s: chunked schedules keep no sink-meeting index (meet-time \
-        knowledge needs of_fun or a frozen schedule)"
+        knowledge needs of_fun or a finite prefix)"
        which)
 
 (* Interactions a meet search indexes per round when it has to extend a
@@ -615,10 +538,6 @@ let next_meet_with_sink sched ~node ~after ~limit =
           end
         done;
         if !found >= 0 && !found <= limit then Some !found else None
-    | Frozen f ->
-        let a = f.f_meets.(node) in
-        let pos = first_above_arr a after in
-        if pos < Array.length a && a.(pos) <= limit then Some a.(pos) else None
 
 let meets_with_sink_upto sched k =
   let count = n sched and sink_id = sink sched in
@@ -633,11 +552,6 @@ let meets_with_sink_upto sched k =
             (match t.meets.(node) with
             | None -> 0
             | Some v -> first_above v (k - 1))
-      done
-  | Frozen f ->
-      for node = 0 to count - 1 do
-        if node <> sink_id then
-          counts.(node) <- first_above_arr f.f_meets.(node) (k - 1)
       done);
   counts.(sink_id) <- Array.fold_left ( + ) 0 counts;
   counts

@@ -24,15 +24,14 @@
     rejects [n > Interaction.max_node_id + 1] (= 2^31) with a clear
     error instead of letting ids wrap silently.
 
-    {b Thread-safety.} A live schedule is {e not} thread-safe: lazy
-    materialisation and the sink index mutate unsynchronised internal
-    buffers on access, including through ostensibly read-only calls
-    such as {!get} and {!next_meet_with_sink}; it must stay confined to
-    one domain. The same holds for a chunked schedule (block refills
-    mutate in place). A {e frozen} schedule ({!freeze}) is immutable —
-    a flat packed int array plus the complete sink-meeting index — and
-    is safe to share read-only across domains, e.g. one schedule per
-    trace swept by many algorithms on a {!Doda_sim.Pool}. *)
+    {b Thread-safety.} No schedule crosses a domain. Lazy
+    materialisation and the sink-meeting index mutate unsynchronised
+    internal buffers on access, even through ostensibly read-only calls
+    such as {!get} and {!next_meet_with_sink} (a finite schedule indexes
+    lazily too), and block refills mutate a chunked schedule in place.
+    Build a schedule on the domain that runs it; there, any number of
+    algorithms may run over it in turn, since the lazy index answers
+    the same whichever probed first. *)
 
 type t
 
@@ -60,8 +59,7 @@ val of_fun_chunked :
     - {e strictly forward}: reading a time before the current block
       raises [Invalid_argument] — old interactions are gone;
     - {e no sink-meeting index}: {!next_meet_with_sink},
-      {!meets_with_sink_upto}, {!prefix} and {!freeze} raise
-      [Invalid_argument];
+      {!meets_with_sink_upto} and {!prefix} raise [Invalid_argument];
     - [gen] is still called exactly once per index in increasing
       order, but may run up to one block {e ahead} of the highest time
       read (whole blocks are decoded at once). Give each chunked
@@ -69,18 +67,6 @@ val of_fun_chunked :
 
     @raise Invalid_argument on a bad [sink], [n] outside [2 ..
     Interaction.max_node_id + 1], or [block < 1]. *)
-
-val freeze : t -> t
-(** The compact immutable form of a finite schedule: the interaction
-    sequence as a flat packed int array plus the sink-meeting index
-    built once, eagerly, in one pass. Queries answer without mutating
-    anything, so the result can be shared read-only across domains and
-    reused by every algorithm sweeping the same trace. Freezing an
-    already frozen schedule is the identity.
-    @raise Invalid_argument on an unbounded (generator or chunked)
-    schedule — freeze a finite {!prefix} instead. *)
-
-val is_frozen : t -> bool
 
 val n : t -> int
 (** Number of nodes. *)
@@ -102,9 +88,9 @@ val get_exn : t -> int -> Interaction.t
     [--stream]). *)
 
 val backing : t -> Sequence.t option
-(** The full backing sequence of a finite or frozen schedule, no copy,
-    for whole-schedule readers such as the knowledge oracles and the
-    offline optimum. [None] for generator and chunked schedules. *)
+(** The full backing sequence of a finite schedule, no copy, for
+    whole-schedule readers such as the knowledge oracles and the offline
+    optimum. [None] for generator and chunked schedules. *)
 
 (** {1 Forward reads}
 
@@ -131,7 +117,7 @@ val cursor : t -> cursor
 val advance : cursor -> int -> unit
 (** [advance cur t] moves the view so that it covers [t]:
 
-    - a finite or frozen schedule shows its whole backing at once;
+    - a finite schedule shows its whole backing at once;
     - a chunked schedule shows its current block, decoding the next one
       as needed (under {!chunk_prefetch} the buffer swap happens here,
       and the view moves to the new block in the same call);
@@ -219,7 +205,8 @@ val next_meet_with_sink : t -> node:int -> after:int -> limit:int -> int option
     [Some m] it stops within 512 interactions of [m] — policies probe
     with limits far beyond where their runs end. The answers equal
     those of a fully indexed schedule, since meets are indexed in time
-    order. A frozen schedule answers by binary search. *)
+    order. A finite schedule indexes the same way, stopping at its
+    end. *)
 
 val meets_with_sink_upto : t -> int -> int array
 (** [meets_with_sink_upto s k] counts, per node, the interactions with

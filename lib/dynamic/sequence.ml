@@ -12,14 +12,11 @@ let get s t =
 let unsafe_get (s : t) t = Array.unsafe_get s t
 let unsafe_array s = s
 let to_array s = Array.copy s
-let to_list = Array.to_list
 
 let sub s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length s then
     invalid_arg "Sequence.sub: invalid range";
   Array.sub s pos len
-
-let append = Array.append
 
 let repeat s k =
   if k < 0 then invalid_arg "Sequence.repeat: negative count";
@@ -38,7 +35,6 @@ let max_node s =
   !m
 
 let iteri = Array.iteri
-let fold = Array.fold_left
 
 let count_involving s u =
   Array.fold_left (fun acc i -> if Interaction.involves i u then acc + 1 else acc) 0 s

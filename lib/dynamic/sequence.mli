@@ -32,12 +32,8 @@ val unsafe_array : t -> Interaction.t array
 val to_array : t -> Interaction.t array
 (** Fresh copy. *)
 
-val to_list : t -> Interaction.t list
-
 val sub : t -> pos:int -> len:int -> t
 (** @raise Invalid_argument on an invalid range. *)
-
-val append : t -> t -> t
 
 val repeat : t -> int -> t
 (** [repeat s k] concatenates [k] copies of [s].
@@ -50,8 +46,6 @@ val max_node : t -> int
 (** Largest node id mentioned; [-1] for the empty sequence. *)
 
 val iteri : (int -> Interaction.t -> unit) -> t -> unit
-
-val fold : ('a -> Interaction.t -> 'a) -> 'a -> t -> 'a
 
 val count_involving : t -> int -> int
 (** Number of interactions one endpoint of which is the given node. *)

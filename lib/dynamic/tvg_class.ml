@@ -65,7 +65,7 @@ exception Witness of witness
 
 (* ------------------------------------------------------------------ *)
 (* Validators. The three interval/recurrence classes share one strictly
-   forward core over [(get, length)], so frozen sequences and chunked
+   forward core over [(get, length)], so materialised sequences and chunked
    streams go through identical code; [Temporal] needs one flood per
    source and therefore a {!Sequence.t}. *)
 
@@ -187,7 +187,7 @@ let validate_stream ~n ~length cls get =
   | Temporal ->
       invalid_arg
         "Tvg_class.validate_stream: Temporal needs random access (one flood \
-         per source); freeze a prefix and use Tvg_class.validate"
+         per source); materialise a prefix and use Tvg_class.validate"
   | T_interval window -> t_interval ~n ~length ~window get
   | Recurrent -> recurrent ~length get
   | Bounded_recurrent bound -> bounded_recurrent ~length ~bound get

@@ -74,7 +74,7 @@ type witness =
 val pp_witness : Format.formatter -> witness -> unit
 
 val validate : n:int -> t -> Sequence.t -> (unit, witness) result
-(** [validate ~n cls s] classifies a frozen sequence: [Ok ()] iff [s]
+(** [validate ~n cls s] classifies a materialised sequence: [Ok ()] iff [s]
     is in [cls], otherwise the first witness in deterministic order
     (scan order for time-indexed violations, first-appearance order
     for edge violations). Windows shorter than [w] at the end of the
@@ -88,7 +88,7 @@ val validate_stream :
     [gen 0 .. gen (length - 1)] — suitable for chunked/streamed traces
     ([T_interval], [Recurrent] and [Bounded_recurrent] only).
     @raise Invalid_argument for [Temporal], which needs random access
-    (one flood per source); freeze a prefix instead. *)
+    (one flood per source); materialise a prefix instead. *)
 
 (** {1 Classification summary} *)
 

@@ -120,8 +120,3 @@ let connected g =
   end
 
 let is_tree g = g.nedges = g.size - 1 && connected g
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>graph on %d nodes, %d edges:@," g.size g.nedges;
-  List.iter (fun (u, v) -> Format.fprintf ppf "  %d -- %d@," u v) (edges g);
-  Format.fprintf ppf "@]"

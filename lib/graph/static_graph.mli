@@ -63,5 +63,3 @@ val grid : int -> int -> t
 
 val is_tree : t -> bool
 (** Connected and [n - 1] edges. *)
-
-val pp : Format.formatter -> t -> unit

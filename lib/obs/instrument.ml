@@ -59,7 +59,6 @@ let with_span t name f =
     sample_resources t;
     r
   end
-let instant t name = Span.instant t.spans name
 
 let summary t =
   if not (enabled t) then ""
@@ -68,21 +67,11 @@ let summary t =
 let write_trace ?process_name t path =
   Trace_event.write ~metrics:t.metrics ?process_name path t.spans
 
-let record_chunk_stats ?(nondeterministic = false) t sched =
-  if enabled t then begin
-    let s = Doda_dynamic.Schedule.chunk_stats sched in
-    Metrics.add (Metrics.counter t.metrics "stream.refills") s.refills;
-    (* The pipeline counters depend on scheduling, not on the draw
-       stream; keep them out of any output that must be byte-identical
-       across job counts. *)
-    if nondeterministic then begin
-      Metrics.add
-        (Metrics.counter t.metrics "stream.prefetched")
-        s.Doda_dynamic.Schedule.prefetched;
-      Metrics.add (Metrics.counter t.metrics "stream.stalls") s.stalls;
-      Metrics.add (Metrics.counter t.metrics "stream.stall_ns") s.stall_ns
-    end
-  end
+let record_chunk_stats t sched =
+  if enabled t then
+    Metrics.add
+      (Metrics.counter t.metrics "stream.refills")
+      (Doda_dynamic.Schedule.chunk_stats sched).refills
 
 (* Engine runs on contact sequences bounded well under 2^26 steps in
    every experiment; the power-of-two buckets keep the duration

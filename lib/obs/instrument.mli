@@ -34,24 +34,18 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
 (** Times [f] into the span sink; with [resources] on, also samples
     the memory gauges at the (successful) span boundary. *)
 
-val instant : t -> string -> unit
-
 val sample_resources : t -> unit
 (** Record the current {!Resource.heap_words} / {!Resource.rss_bytes}
     into the [obs.heap_words] / [obs.rss_bytes] max-gauges. No-op
     unless the handle was created with [~resources:true]. *)
 
-val record_chunk_stats :
-  ?nondeterministic:bool -> t -> Doda_dynamic.Schedule.t -> unit
-(** Fold a chunked schedule's streaming counters
-    ({!Doda_dynamic.Schedule.chunk_stats}) into the metrics:
-    [stream.refills] always (it depends only on the draw stream and
-    block size, so it is safe in jobs-invariant output); the
-    pipeline counters [stream.prefetched] / [stream.stalls] /
-    [stream.stall_ns] only under [~nondeterministic:true], because
-    they depend on domain scheduling and would break byte-identical
-    output across [--jobs]. No-op when disabled or on a non-chunked
-    schedule (all-zero stats). *)
+val record_chunk_stats : t -> Doda_dynamic.Schedule.t -> unit
+(** Add a chunked schedule's [refills]
+    ({!Doda_dynamic.Schedule.chunk_stats}) to the [stream.refills]
+    counter. It depends only on the draw stream and block size, so it
+    is safe in jobs-invariant output; the pipeline's timing counters
+    are left out. No-op when disabled; a non-chunked schedule adds
+    0. *)
 
 val summary : t -> string
 (** Metrics table followed by the span table; [""] when disabled. *)

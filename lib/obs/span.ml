@@ -66,11 +66,6 @@ let enabled t = t.on
 let length t = t.len
 let dropped t = t.dropped
 
-let clear t =
-  t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0
-
 let shard t =
   if not t.on then t
   else

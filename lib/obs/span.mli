@@ -25,9 +25,7 @@ val length : t -> int
 (** Events currently held (at most the capacity). *)
 
 val dropped : t -> int
-(** Oldest events overwritten since creation or {!clear}. *)
-
-val clear : t -> unit
+(** Oldest events overwritten since creation. *)
 
 (** {1 Recording} *)
 

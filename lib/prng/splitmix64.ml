@@ -3,7 +3,6 @@ type t = { mutable state : int64 }
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
-let of_int seed = create (Int64.of_int seed)
 let copy g = { state = g.state }
 
 let mix z =

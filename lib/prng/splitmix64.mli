@@ -12,9 +12,6 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator initialised with [seed].
     Any seed is acceptable, including [0L]. *)
 
-val of_int : int -> t
-(** [of_int seed] is [create (Int64.of_int seed)]. *)
-
 val next : t -> int64
 (** [next g] advances [g] and returns the next 64-bit output. *)
 

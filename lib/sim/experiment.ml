@@ -19,43 +19,30 @@ let split_seeds ~replications ~seed =
   let master = Prng.create seed in
   Array.init replications (fun _ -> Prng.split master)
 
-let replicate ~replications ~seed f = Array.map f (split_seeds ~replications ~seed)
-
-let dispatch ?pool ?jobs f seeds =
-  match pool with
-  | Some p -> Pool.map_array p f seeds
-  | None -> (
-      match jobs with
-      | None | Some 1 -> Array.map f seeds
-      | Some j -> Pool.with_pool ~jobs:j (fun p -> Pool.map_array p f seeds))
-
-(* Instrumented dispatch: [f] takes the telemetry handle to record
-   into. Disabled telemetry routes through plain [dispatch] with the
-   shared off handle — the exact code path of uninstrumented callers.
-   Enabled telemetry gives every execution slot its own shard
+(* [f] takes the telemetry handle to record into. Disabled telemetry
+   maps [f] with the shared off handle — the exact code path of
+   uninstrumented callers ([shard] is the identity and [absorb] a no-op
+   there). Enabled telemetry gives every execution slot its own shard
    (sequentially, on the calling domain) and folds the shards back in
    slot order, so aggregated counters are identical for any job
    count. *)
 let dispatch_instrumented ?pool ?jobs ~telemetry f seeds =
-  if not (Instrument.enabled telemetry) then dispatch ?pool ?jobs (f telemetry) seeds
-  else begin
-    let sharded p =
+  let on_pool p =
+    if Instrument.enabled telemetry then
       Pool.map_array_sharded p
         ~make:(fun () -> Instrument.shard telemetry)
         ~merge:(Instrument.absorb telemetry)
         f seeds
-    in
-    match pool with
-    | Some p -> sharded p
-    | None -> (
-        match jobs with
-        | None | Some 1 ->
-            let shard = Instrument.shard telemetry in
-            let r = Array.map (f shard) seeds in
-            Instrument.absorb telemetry shard;
-            r
-        | Some j -> Pool.with_pool ~jobs:j sharded)
-  end
+    else Pool.map_array p (f telemetry) seeds
+  in
+  match (pool, jobs) with
+  | Some p, _ -> on_pool p
+  | None, Some j when j <> 1 -> Pool.with_pool ~jobs:j on_pool
+  | None, _ ->
+      let shard = Instrument.shard telemetry in
+      let r = Array.map (f shard) seeds in
+      Instrument.absorb telemetry shard;
+      r
 
 let replicate_par ?pool ?jobs ?(telemetry = Instrument.disabled) ~replications
     ~seed f =
@@ -260,30 +247,10 @@ let run_batched_factory ?pool ?(telemetry = Instrument.disabled) ?checkpoint
   end;
   of_durations ~label ~n durations
 
-let run_uniform ?pool ?jobs ?telemetry ?replications ?seed ?(sink = 0)
-    ?max_steps ~n (algo : Doda_core.Algorithm.t) =
-  let max_steps =
-    match max_steps with Some m -> m | None -> (200 * n * n) + 10_000
-  in
-  run_schedule_factory ?pool ?jobs ?telemetry ?replications ?seed ~max_steps
-    ~label:algo.name ~n
-    (fun rng ->
-      replication_schedule algo ~n ~sink
-        (Doda_dynamic.Generators.uniform rng ~n))
-    algo
-
-let replicate_duels ?pool ?jobs ?knowledge ~replications ~seed ~max_steps ~n
-    ~sink algo adversary_of =
-  dispatch ?pool ?jobs
-    (fun rng -> Doda_adversary.Duel.run ?knowledge ~max_steps ~n ~sink algo (adversary_of rng))
-    (split_seeds ~replications ~seed)
-
 let mean m =
   if Array.length m.samples = 0 then
     invalid_arg ("Experiment.mean: no successful runs for " ^ m.label);
   Doda_stats.Descriptive.mean m.samples
-
-let summary m = Doda_stats.Descriptive.summarize m.samples
 
 let success_rate m =
   let total = Array.length m.samples + m.failures in

@@ -15,13 +15,13 @@
     before any work is dispatched (see {!split_seeds}); workers receive
     ready-made independent streams and never touch shared random state.
 
-    {b Thread-safety invariant.} A {!Doda_dynamic.Schedule.t} memoizes
-    lazily and is not thread-safe, so a schedule must never be shared
-    across replications running on different domains. The factory
-    pattern of {!run_schedule_factory} enforces this by construction:
-    each replication builds its own schedule from its own stream,
-    inside the worker. Any [f] passed to {!replicate_par} must do the
-    same. *)
+    {b Thread-safety invariant.} No schedule crosses a domain: every
+    {!Doda_dynamic.Schedule.t} memoizes lazily and is not thread-safe.
+    The factory pattern of {!run_schedule_factory} enforces this by
+    construction: each replication builds its own schedule from its own
+    stream, inside the worker. Any [f] passed to {!replicate_par} must
+    do the same; it may then run several algorithms over that schedule
+    in turn. *)
 
 type measurement = {
   label : string;
@@ -40,19 +40,17 @@ exception Interrupted
 val split_seeds : replications:int -> seed:int -> Doda_prng.Prng.t array
 (** [split_seeds ~replications ~seed] is the array of independent
     streams that replication [0 .. replications-1] of [seed] receive,
-    split in index order from the master. Both {!replicate} and
-    {!replicate_par} consume exactly this array. *)
-
-val replicate : replications:int -> seed:int -> (Doda_prng.Prng.t -> 'a) -> 'a array
-(** [replicate ~replications ~seed f] calls [f] once per replication
-    with independent split streams derived from [seed]. Sequential. *)
+    split in index order from the master. {!replicate_par} and the
+    factory sweeps consume exactly this array. *)
 
 val replicate_par :
   ?pool:Pool.t -> ?jobs:int -> ?telemetry:Doda_obs.Instrument.t ->
   replications:int -> seed:int -> (Doda_prng.Prng.t -> 'a) -> 'a array
-(** Parallel {!replicate}: same seeds, same results, any job count.
-    [f] runs on worker domains and must not share mutable state across
-    replications (build schedules inside [f]). Uses [pool] if given;
+(** [replicate_par ~replications ~seed f] calls [f] once per
+    replication with its stream of {!split_seeds}: same seeds, same
+    results, any job count. [f] runs on worker domains and must not
+    share mutable state across replications (build schedules inside
+    [f]). Uses [pool] if given;
     otherwise a transient pool of [jobs] slots (default
     {!Pool.default_jobs}, i.e. [DODA_JOBS] or the recommended domain
     count). [~jobs:1] runs on the calling domain.
@@ -109,18 +107,6 @@ val replication_schedule :
     {!replication_block} when {!streams_replication} holds, a live
     [Schedule.of_fun ~n ~sink gen] otherwise. [gen] must draw from a
     stream of its own. *)
-
-val run_uniform :
-  ?pool:Pool.t -> ?jobs:int -> ?telemetry:Doda_obs.Instrument.t ->
-  ?replications:int -> ?seed:int -> ?sink:int -> ?max_steps:int ->
-  n:int -> Doda_core.Algorithm.t -> measurement
-(** [run_uniform ~n algo] measures [algo] against the uniform
-    randomized adversary. Defaults: 20 replications, seed 42, sink 0,
-    [max_steps = 200 * n^2 + 10_000] (an order of magnitude above the
-    slowest expected algorithm, Waiting). Each replication's schedule
-    is {!replication_schedule}'s. Sequential unless
-    [?pool]/[?jobs] is given; the measurement is identical either
-    way. *)
 
 val run_schedule_factory :
   ?pool:Pool.t -> ?jobs:int -> ?telemetry:Doda_obs.Instrument.t ->
@@ -212,20 +198,7 @@ val run_batched_factory :
     @raise Invalid_argument if the algorithm has no batch rule, or as
     {!Doda_core.Batch_engine.run_reps}. *)
 
-val replicate_duels :
-  ?pool:Pool.t -> ?jobs:int -> ?knowledge:Doda_core.Knowledge.t ->
-  replications:int -> seed:int -> max_steps:int -> n:int -> sink:int ->
-  Doda_core.Algorithm.t ->
-  (Doda_prng.Prng.t -> Doda_adversary.Adversary.t) ->
-  (Doda_core.Engine.result * Doda_dynamic.Sequence.t) array
-(** Replicated {!Doda_adversary.Duel.run} comparisons against adaptive
-    adversaries, one independently seeded adversary per replication
-    (built inside the worker from its split stream). Same determinism
-    guarantee as {!replicate_par}. *)
-
 val mean : measurement -> float
 (** Mean of the samples. @raise Invalid_argument if every run failed. *)
-
-val summary : measurement -> Doda_stats.Descriptive.summary
 
 val success_rate : measurement -> float

@@ -405,6 +405,12 @@ let duel ~adversary ~n name =
 (* --- classification -------------------------------------------------- *)
 
 let classify ?window ?bound ?(nodes = 0) seq =
+  let at_least_1 what = function
+    | Some v when v < 1 -> reject "%s must be >= 1, got %d" what v
+    | _ -> ()
+  in
+  at_least_1 "window" window;
+  at_least_1 "bound" bound;
   let n = max nodes (Sequence.max_node seq + 1) in
   let sum = Tvg_class.summarize ~n seq in
   let yes_no = function

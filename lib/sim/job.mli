@@ -205,4 +205,6 @@ val classify :
     [trace:] line): size, footprint, the {!Doda_dynamic.Tvg_class}
     summary, then membership in [t-interval(window)] and
     [bounded-recurrent(bound)] when given. The trace has [nodes] nodes
-    or as many as its largest id needs, whichever is more. *)
+    or as many as its largest id needs, whichever is more.
+    @raise Rejected on a [window] or [bound] below 1, before any
+    classification runs. *)

@@ -14,9 +14,10 @@
 
     {b Thread-safety invariant.} Work items run concurrently on
     independent domains and must not share mutable state. In this
-    code base the main trap is {!Doda_dynamic.Schedule.t}: a schedule
-    memoizes lazily (its [ensure]/[Vec] mutation is unsynchronised), so
-    a schedule value must never be shared between work items — each
+    code base the main trap is {!Doda_dynamic.Schedule.t}: no schedule
+    crosses a domain, because every schedule memoizes lazily (its
+    [ensure] and sink-index [Int_vec] mutation is unsynchronised), so a
+    schedule value must never be shared between work items — each
     replication must build its own schedule inside the worker, as the
     factory pattern of {!Experiment.run_schedule_factory} does. *)
 

@@ -23,9 +23,6 @@ let exponent points =
   in
   Regression.log_log data
 
-let ratios ~predicted points =
-  List.map (fun p -> (p.n, p.mean /. predicted p.n)) points
-
 let ratio_stability ~predicted points =
   let data =
     Array.of_list (List.map (fun p -> (predicted p.n, p.mean)) points)

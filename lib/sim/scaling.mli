@@ -14,9 +14,6 @@ val points_of : Experiment.measurement list -> point list
 val exponent : point list -> Doda_stats.Regression.fit
 (** Log–log fit of mean vs [n]; the slope is the empirical exponent. *)
 
-val ratios : predicted:(int -> float) -> point list -> (int * float) list
-(** [(n, measured / predicted n)] per point. *)
-
 val ratio_stability : predicted:(int -> float) -> point list -> float * float
 (** Mean and coefficient of variation of the ratios: a small CV
     (< ~0.2) indicates the predicted shape holds with a stable

@@ -9,8 +9,6 @@ let add_row t row =
     invalid_arg "Table.add_row: row width differs from header";
   t.rows <- row :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
-
 let header_row t = t.header
 let rows t = List.rev t.rows
 

@@ -8,8 +8,6 @@ val create : header:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the header. *)
 
-val add_rows : t -> string list list -> unit
-
 val header_row : t -> string list
 
 val rows : t -> string list list

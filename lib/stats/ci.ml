@@ -40,7 +40,4 @@ let bootstrap_mean ?(confidence = 0.95) ?(resamples = 1000) rng xs =
     upper = Descriptive.quantile means (1.0 -. (alpha /. 2.0));
   }
 
-let pp ppf iv =
-  Format.fprintf ppf "%.1f [%.1f, %.1f]" iv.center iv.lower iv.upper
-
 let contains iv x = iv.lower <= x && x <= iv.upper

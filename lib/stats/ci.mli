@@ -15,8 +15,5 @@ val bootstrap_mean :
 (** [bootstrap_mean rng xs] is a percentile-bootstrap CI for the mean
     (default 95%, 1000 resamples). *)
 
-val pp : Format.formatter -> interval -> unit
-(** Renders as [center [lower, upper]]. *)
-
 val contains : interval -> float -> bool
 (** [contains iv x] tests [lower <= x <= upper]. *)

@@ -81,5 +81,3 @@ let summarize xs =
     q75 = q 0.75;
     max = sorted.(Array.length sorted - 1);
   }
-
-let of_ints xs = Array.map float_of_int xs

@@ -48,6 +48,3 @@ type summary = {
 val summarize : float array -> summary
 (** [summarize xs] computes a {!summary}. @raise Invalid_argument on an
     empty array. *)
-
-val of_ints : int array -> float array
-(** Convenience conversion for measured counts. *)

@@ -54,5 +54,3 @@ let ratio_stability points =
   let m = Descriptive.mean ratios in
   let cv = if m = 0.0 then 0.0 else Descriptive.stddev ratios /. Float.abs m in
   (m, cv)
-
-let evaluate f x = (f.slope *. x) +. f.intercept

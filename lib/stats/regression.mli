@@ -29,6 +29,3 @@ val ratio_stability : (float * float) array -> float * float
     of [y/x] over the points. A small coefficient of variation means
     [y = Theta(x)] with a stable constant — the check used when the
     predicted form (e.g. [n log n]) is known exactly. *)
-
-val evaluate : fit -> float -> float
-(** [evaluate f x] is [f.slope *. x +. f.intercept]. *)

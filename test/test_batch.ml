@@ -26,11 +26,11 @@ let same_result (a : Engine.result) (b : Engine.result) =
   && a.holders = b.holders
   && Run_log.to_list a.log = Run_log.to_list b.log
 
-let frozen_of (n, len, seed) =
+let finite_of (n, len, seed) =
   let rng = Prng.create seed in
   let s = Generators.uniform_sequence rng ~n ~length:len in
   let sink = Prng.int rng n in
-  Schedule.freeze (Schedule.of_sequence ~n ~sink s)
+  Schedule.of_sequence ~n ~sink s
 
 let instance_arb =
   let gen =
@@ -62,7 +62,7 @@ let prop_run_reps_matches_scalar =
     ~name:"batch: run_reps = scalar Engine.run (deterministic algos)"
     instance_arb
     (fun ((n, _, _) as inst) ->
-      let sched = frozen_of inst in
+      let sched = finite_of inst in
       let r = 5 in
       List.for_all
         (fun algo ->
@@ -75,7 +75,7 @@ let prop_run_reps_matches_scalar =
 (* Remainder handling: batch sizes around the 63-bit word width (and
    the issue's nominal 1/63/64/65/130) all agree with scalar runs. *)
 let test_remainder_widths () =
-  let sched = frozen_of (9, 300, 42) in
+  let sched = finite_of (9, 300, 42) in
   let algo = Algorithms.waiting_greedy ~tau:(Theory.recommended_tau 9) in
   let scalar = Engine.run algo sched in
   List.iter
@@ -97,7 +97,7 @@ let prop_coin_reps_match_scalar =
   QCheck.Test.make ~count:40
     ~name:"batch: coin run_reps reproduces scalar streams" instance_arb
     (fun inst ->
-      let sched = frozen_of inst in
+      let sched = finite_of inst in
       let r = 70 in
       List.for_all
         (fun (mk, p) ->
@@ -115,11 +115,12 @@ let prop_coin_reps_match_scalar =
           (Coin_algorithms.coin_gathering, 0.25);
         ])
 
-(* The lazy meet oracle: a meet-time rival over a live generator
-   schedule, whose sink meetings are indexed only as far as its probes
-   need, runs exactly as over the frozen sequence, whose index is
-   complete. The frozen sequence reaches past every limit a rival
-   probes, so no answer can differ for want of interactions. *)
+(* The lazy meet oracle: a meet-time rival over a generator schedule,
+   whose sink meetings are indexed only as far as its probes need, runs
+   exactly as over the same interactions as a finite sequence whose
+   index is built in full before the run. The sequence reaches past
+   every limit a rival probes, so no answer can differ for want of
+   interactions. *)
 let meet_time_rivals n =
   [
     Algorithms.waiting_greedy ~tau:(Theory.recommended_tau n);
@@ -128,7 +129,7 @@ let meet_time_rivals n =
     Meet_time_policies.sliding_window ~theta:n;
   ]
 
-let prop_lazy_oracle_matches_frozen =
+let prop_lazy_oracle_matches_indexed =
   QCheck.Test.make ~count:25 ~name:"meet-time rivals: of_fun run = frozen run"
     instance_arb
     (fun (n, len, seed) ->
@@ -140,15 +141,15 @@ let prop_lazy_oracle_matches_frozen =
       let horizon =
         (2 * max_steps) + (10 * n * n) + Theory.recommended_tau n + 64
       in
-      let frozen =
-        Schedule.freeze
-          (Schedule.of_sequence ~n ~sink
-             (Doda_dynamic.Sequence.of_array (Array.init horizon gen)))
+      let indexed =
+        Schedule.of_sequence ~n ~sink
+          (Doda_dynamic.Sequence.of_array (Array.init horizon gen))
       in
+      ignore (Schedule.meets_with_sink_upto indexed horizon);
       List.for_all
         (fun algo ->
           same_result
-            (Engine.run ~max_steps algo frozen)
+            (Engine.run ~max_steps algo indexed)
             (Engine.run ~max_steps algo (Schedule.of_fun ~n ~sink gen)))
         (meet_time_rivals n))
 
@@ -181,7 +182,7 @@ let prop_run_reps_generator =
 
 (* ------------------------------------------------------------------ *)
 (* Streamed (chunked) batch: one chunk decode drives all lanes. The
-   streamed pass must be bit-identical to the frozen pass and to
+   streamed pass must be bit-identical to the finite pass and to
    scalar runs — across widths around the word boundary and with
    blocks far smaller than the schedule, so the ring recycles many
    times mid-run. *)
@@ -200,24 +201,24 @@ let chunked_of ~block (n, len, seed) =
 
 let widths = [ 1; 62; 63; 64; 65; 130 ]
 
-let prop_streamed_reps_match_frozen =
+let prop_streamed_reps_match_finite =
   QCheck.Test.make ~count:25
     ~name:"batch: streamed run_reps = frozen run_reps = scalar (deterministic)"
     instance_arb
     (fun ((n, _, seed) as inst) ->
-      let frozen = frozen_of inst in
+      let finite = finite_of inst in
       let block = 1 + (seed mod 7) in
       List.for_all
         (fun algo ->
-          let scalar = Engine.run algo frozen in
+          let scalar = Engine.run algo finite in
           List.for_all
             (fun r ->
-              let froz = Batch_engine.run_reps algo frozen r in
+              let fin = Batch_engine.run_reps algo finite r in
               let stream =
                 Batch_engine.run_reps algo (chunked_of ~block inst) r
               in
               Array.length stream = r
-              && Array.for_all2 same_result froz stream
+              && Array.for_all2 same_result fin stream
               && Array.for_all (fun b -> same_result scalar b) stream)
             widths)
         (* Meet-time policies are excluded by design: their oracle
@@ -226,20 +227,20 @@ let prop_streamed_reps_match_frozen =
          [ Algorithms.waiting; Algorithms.gathering ]
          @ Gathering_variants.all))
 
-let prop_streamed_coin_reps_match_frozen =
+let prop_streamed_coin_reps_match_finite =
   QCheck.Test.make ~count:20
     ~name:"batch: streamed coin run_reps = frozen run_reps (per-rep streams)"
     instance_arb
     (fun ((_, _, seed) as inst) ->
-      let frozen = frozen_of inst in
+      let finite = finite_of inst in
       let block = 1 + (seed mod 5) in
       List.for_all
         (fun (mk, p) ->
           List.for_all
             (fun r ->
               let rngs = Prng.split_n (Prng.create 1234) r in
-              let froz =
-                Batch_engine.run_reps ~rngs (mk (Prng.create 1234) ~p) frozen r
+              let fin =
+                Batch_engine.run_reps ~rngs (mk (Prng.create 1234) ~p) finite r
               in
               let rngs = Prng.split_n (Prng.create 1234) r in
               let stream =
@@ -247,7 +248,7 @@ let prop_streamed_coin_reps_match_frozen =
                   (mk (Prng.create 1234) ~p)
                   (chunked_of ~block inst) r
               in
-              Array.for_all2 same_result froz stream)
+              Array.for_all2 same_result fin stream)
             widths)
         [
           (Coin_algorithms.coin_waiting, 0.4);
@@ -257,7 +258,7 @@ let prop_streamed_coin_reps_match_frozen =
 (* Error path, pinned verbatim: a batch-incapable algorithm must be
    named, and the message must point at the scalar fallback. *)
 let test_no_batch_rule_messages () =
-  let sched = frozen_of (6, 50, 1) in
+  let sched = finite_of (6, 50, 1) in
   let expect_engine =
     "Batch_engine.run_reps: full-knowledge has no batch rule (Once / \
      Coin_sink / Coin_gather); run it with Engine.run"
@@ -271,7 +272,7 @@ let prop_count_mode =
   QCheck.Test.make ~count:30 ~name:"batch: `Count = `All minus the log"
     instance_arb
     (fun ((n, _, _) as inst) ->
-      let sched = frozen_of inst in
+      let sched = finite_of inst in
       let algo = Algorithms.gathering in
       let full = Batch_engine.run_reps ~record:`All algo sched 4 in
       let counted = Batch_engine.run_reps ~record:`Count algo sched 4 in
@@ -297,7 +298,7 @@ let test_live_mask_early_stop () =
     Doda_dynamic.Sequence.of_list
       (List.map (fun (a, b) -> Interaction.make a b) (meets @ filler))
   in
-  let sched = Schedule.freeze (Schedule.of_sequence ~n ~sink s) in
+  let sched = Schedule.of_sequence ~n ~sink s in
   let stats = Batch_engine.stats () in
   let r = 200 in
   let rngs = Doda_sim.Experiment.split_seeds ~replications:r ~seed:9 in
@@ -316,7 +317,7 @@ let test_live_mask_early_stop () =
    run_reps executes it once: one lane of work, R equal results, and no
    two results share a mutable holders array. *)
 let test_deterministic_runs_once () =
-  let sched = frozen_of (9, 300, 42) in
+  let sched = finite_of (9, 300, 42) in
   let r = 130 in
   List.iter
     (fun (algo : Doda_core.Algorithm.t) ->
@@ -367,12 +368,12 @@ let () =
       ( "streamed",
         List.map to_alcotest
           [
-            prop_streamed_reps_match_frozen;
-            prop_streamed_coin_reps_match_frozen;
+            prop_streamed_reps_match_finite;
+            prop_streamed_coin_reps_match_finite;
           ]
         @ [
             Alcotest.test_case "no-batch-rule messages" `Quick
               test_no_batch_rule_messages;
           ] );
-      ("oracle", [ to_alcotest prop_lazy_oracle_matches_frozen ]);
+      ("oracle", [ to_alcotest prop_lazy_oracle_matches_indexed ]);
     ]

@@ -10,35 +10,10 @@ module Underlying = Doda_dynamic.Underlying
 module Temporal = Doda_dynamic.Temporal
 module Mobility = Doda_dynamic.Mobility
 module Trace = Doda_dynamic.Trace
-module Vec = Doda_dynamic.Vec
 module Static_graph = Doda_graph.Static_graph
 module Prng = Doda_prng.Prng
 
 let seq pairs = Sequence.of_pairs pairs
-
-(* ------------------------------------------------------------------ *)
-(* Vec                                                                 *)
-
-let test_vec_basic () =
-  let v = Vec.create ~dummy:0 in
-  Alcotest.(check int) "empty" 0 (Vec.length v);
-  for i = 0 to 99 do
-    Vec.push v i
-  done;
-  Alcotest.(check int) "length" 100 (Vec.length v);
-  Alcotest.(check int) "get 50" 50 (Vec.get v 50);
-  Alcotest.(check int) "last" 99 (Vec.last v);
-  Vec.set v 0 42;
-  Alcotest.(check int) "set" 42 (Vec.get v 0);
-  Alcotest.(check int) "to_array length" 100 (Array.length (Vec.to_array v));
-  Vec.clear v;
-  Alcotest.(check int) "cleared" 0 (Vec.length v)
-
-let test_vec_bounds () =
-  let v = Vec.of_array ~dummy:0 [| 1; 2; 3 |] in
-  Alcotest.check_raises "out of bounds"
-    (Invalid_argument "Vec.get: index out of bounds") (fun () ->
-      ignore (Vec.get v 3))
 
 (* ------------------------------------------------------------------ *)
 (* Interaction                                                         *)
@@ -762,11 +737,6 @@ let test_schedule_single_pair_repeat () =
 let () =
   Alcotest.run "dynamic"
     [
-      ( "vec",
-        [
-          Alcotest.test_case "basic" `Quick test_vec_basic;
-          Alcotest.test_case "bounds" `Quick test_vec_bounds;
-        ] );
       ( "interaction",
         [
           Alcotest.test_case "normalised" `Quick test_interaction_normalised;

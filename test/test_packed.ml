@@ -1,6 +1,6 @@
 (* Properties of the packed-int interaction kernel: the immediate
-   encoding round-trips, its order agrees with the accessors, and a
-   frozen schedule shared across algorithms behaves exactly like a
+   encoding round-trips, its order agrees with the accessors, and one
+   finite schedule swept by many algorithms behaves exactly like a
    schedule rebuilt for every run. Also cross-validates the bitvector
    brute-force sweep against the original set-based implementation. *)
 
@@ -11,6 +11,7 @@ module Generators = Doda_dynamic.Generators
 module Engine = Doda_core.Engine
 module Algorithms = Doda_core.Algorithms
 module Theory = Doda_core.Theory
+module Meet_time_policies = Doda_core.Meet_time_policies
 module Brute_force = Doda_core.Brute_force
 module Prng = Doda_prng.Prng
 
@@ -66,7 +67,7 @@ let prop_order_consistent =
          || Interaction.hash i1 = Interaction.hash i2))
 
 (* ------------------------------------------------------------------ *)
-(* Frozen shared schedule vs per-run rebuilt schedules.                *)
+(* One shared schedule vs per-run rebuilt schedules.                  *)
 
 let instance_gen =
   QCheck.Gen.(
@@ -84,6 +85,8 @@ let algos_for n =
     Algorithms.waiting;
     Algorithms.gathering;
     Algorithms.waiting_greedy ~tau:(Theory.recommended_tau n);
+    Meet_time_policies.pure_greedy ~horizon:(20 * n);
+    Meet_time_policies.sliding_window ~theta:n;
     Algorithms.full_knowledge;
   ]
 
@@ -92,41 +95,28 @@ let same_result (a : Engine.result) (b : Engine.result) =
   && a.transmission_count = b.transmission_count
   && a.holders = b.holders
 
-let prop_frozen_shared_equals_rebuilt =
+(* What bench's shared sweeps rely on: the meet-time algorithms grow a
+   finite schedule's sink-meeting index as far as each one probes, so
+   the index must answer the same whichever algorithm probed first.
+   Every algorithm sweeps one schedule in turn, in both orders. *)
+let prop_shared_sweep_equals_rebuilt =
   QCheck.Test.make ~count:150
-    ~name:"schedule: frozen shared run = per-run rebuilt run" instance_arb
+    ~name:"schedule: shared sweep = per-run rebuilt run" instance_arb
     (fun (n, len, seed) ->
       let s = Generators.uniform_sequence (Prng.create seed) ~n ~length:len in
-      let shared = Schedule.freeze (Schedule.of_sequence ~n ~sink:0 s) in
-      List.for_all
-        (fun algo ->
-          let fresh = Schedule.of_sequence ~n ~sink:0 s in
-          same_result
-            (Engine.run ~record:`Count algo shared)
-            (Engine.run ~record:`Count algo fresh))
-        (algos_for n))
-
-let prop_freeze_preserves_content =
-  QCheck.Test.make ~count:150 ~name:"schedule: freeze preserves content and oracle"
-    instance_arb
-    (fun (n, len, seed) ->
-      let s = Generators.uniform_sequence (Prng.create seed) ~n ~length:len in
-      let live = Schedule.of_sequence ~n ~sink:0 s in
-      let frozen = Schedule.freeze live in
-      Schedule.is_frozen frozen
-      && Schedule.length frozen = Some len
-      && List.for_all
-           (fun t ->
-             Interaction.equal (Schedule.get_exn live t) (Schedule.get_exn frozen t))
-           (List.init len (fun t -> t))
-      && List.for_all
-           (fun node ->
-             List.for_all
-               (fun after ->
-                 Schedule.next_meet_with_sink live ~node ~after ~limit:len
-                 = Schedule.next_meet_with_sink frozen ~node ~after ~limit:len)
-               [ 0; len / 2; len ])
-           (List.init n (fun u -> u)))
+      let algos = algos_for n in
+      let fresh =
+        List.map
+          (fun algo ->
+            Engine.run ~record:`Count algo (Schedule.of_sequence ~n ~sink:0 s))
+          algos
+      in
+      let sweep algos =
+        let shared = Schedule.of_sequence ~n ~sink:0 s in
+        List.map (fun algo -> Engine.run ~record:`Count algo shared) algos
+      in
+      List.for_all2 same_result fresh (sweep algos)
+      && List.for_all2 same_result (List.rev fresh) (sweep (List.rev algos)))
 
 (* ------------------------------------------------------------------ *)
 (* Bitvector brute force vs the original set-based sweep.              *)
@@ -210,7 +200,7 @@ let () =
           [ prop_roundtrip; prop_of_int_rejects_junk; prop_order_consistent ] );
       ( "schedule",
         List.map to_alcotest
-          [ prop_frozen_shared_equals_rebuilt; prop_freeze_preserves_content ] );
+          [ prop_shared_sweep_equals_rebuilt ] );
       ( "brute-force",
         List.map to_alcotest [ prop_brute_force_matches_reference ] );
     ]

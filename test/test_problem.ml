@@ -112,8 +112,8 @@ let prop_engine_matches_model =
         engine_algos)
 
 (* ------------------------------------------------------------------ *)
-(* One run, four schedule forms: live, frozen, generator-backed,
-   chunked — bit-identical results, scalar and batch. *)
+(* One run, three schedule forms: finite, generator-backed, chunked —
+   bit-identical results, scalar and batch. *)
 
 (* A run cut off at the horizon reports [Schedule_exhausted] on a
    finite schedule but [Step_limit] on an unbounded generator-backed
@@ -141,7 +141,6 @@ let schedule_forms ~n ~sink s =
   let len = Array.length arr in
   [
     ("live", Schedule.of_sequence ~n ~sink s);
-    ("frozen", Schedule.freeze (Schedule.of_sequence ~n ~sink s));
     ("of_fun", Schedule.of_fun ~n ~sink (fun t -> arr.(t)));
     ( "chunked",
       Schedule.of_fun_chunked ~block:16 ~length:len ~n ~sink (fun t -> arr.(t))
@@ -170,7 +169,7 @@ let prop_batch_matches_scalar =
     instance_arb (fun inst ->
       let s, sink = sequence_of inst in
       let n = Sequence.max_node s + 1 in
-      let sched = Schedule.freeze (Schedule.of_sequence ~n ~sink s) in
+      let sched = Schedule.of_sequence ~n ~sink s in
       List.for_all
         (fun algo ->
           let scalar = Engine.run algo sched in
@@ -181,7 +180,7 @@ let prop_batch_matches_scalar =
 
 (* ------------------------------------------------------------------ *)
 (* Gossip: bit-plane run vs dense reference, across token counts
-   straddling the 63-bit word width, on frozen and chunked forms. *)
+   straddling the 63-bit word width, on every schedule form. *)
 
 let same_gossip_h ~len (a : Gossip.result) (b : Gossip.result) =
   (a.Gossip.stop = b.Gossip.stop
@@ -222,7 +221,7 @@ let prop_gossip_matches_reference =
       let len = Sequence.length s in
       let forms = schedule_forms ~n ~sink s in
       let base =
-        Gossip.run_reference ~max_steps:len ~problem (List.assoc "frozen" forms)
+        Gossip.run_reference ~max_steps:len ~problem (List.assoc "live" forms)
       in
       List.for_all
         (fun (_, sched) ->
@@ -311,7 +310,7 @@ let test_coverage_times () =
 
 (* Coverage analysis under --stream: [coverage_times] replays the
    transfer log, never the schedule prefix, so a run on a chunked
-   (streamed) schedule yields the exact completion times of the frozen
+   (streamed) schedule yields the exact completion times of the finite
    run. *)
 let test_coverage_times_streamed () =
   let s, sink = sequence_of (7, 400, 9) in
@@ -321,8 +320,8 @@ let test_coverage_times_streamed () =
     Doda_sim.Analysis.coverage_times ~n ~problem
       (Gossip.run ~problem (List.assoc form (schedule_forms ~n ~sink s)))
   in
-  let tf = on "frozen" and tc = on "chunked" in
-  Alcotest.(check bool) "frozen = streamed coverage times" true (tf = tc);
+  let tf = on "live" and tc = on "chunked" in
+  Alcotest.(check bool) "finite = streamed coverage times" true (tf = tc);
   Alcotest.(check bool) "some node completes (fixture sanity)" true
     (Array.exists (fun t -> t <> None) tf)
 

@@ -4,7 +4,7 @@
    - Differential: [Run_log.to_list] on a run equals the seed engine's
      list semantics (order, fields) — reconstructed independently here
      through an [on_transmit] observer and through the manual stepping
-     API — for every paper algorithm on shared frozen schedules.
+     API — for every paper algorithm on one shared schedule per seed.
    - Property: [Engine.run] and [Duel.run] outputs always pass
      [Validate.execution] with zero violations across algorithms x
      adversaries x seeds (the one-run-core invariant: no driver can
@@ -92,7 +92,7 @@ let test_log_matches_list_semantics () =
       let s =
         Generators.uniform_sequence (Prng.create seed) ~n ~length:4_000
       in
-      let shared = Schedule.freeze (Schedule.of_sequence ~n ~sink:0 s) in
+      let shared = Schedule.of_sequence ~n ~sink:0 s in
       List.iter
         (fun algo ->
           (* Reference 1: an [on_transmit] observer consing the

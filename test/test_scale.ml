@@ -122,8 +122,6 @@ let prop_cursor_reads =
       let forms =
         [
           ("of_sequence", (fun () -> Schedule.of_sequence ~n ~sink:0 s));
-          ( "frozen",
-            fun () -> Schedule.freeze (Schedule.of_sequence ~n ~sink:0 s) );
           ("of_fun", fun () -> Schedule.of_fun ~n ~sink:0 gen);
           ("of_fun_chunked", chunked);
           ( "prefetched chunked",
@@ -286,7 +284,6 @@ let test_chunked_errors () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s should raise Invalid_argument" name
   in
-  raises "freeze" (fun s -> ignore (Schedule.freeze s));
   raises "prefix" (fun s -> ignore (Schedule.prefix s 3));
   raises "next_meet_with_sink" (fun s ->
       ignore (Schedule.next_meet_with_sink s ~node:1 ~after:0 ~limit:10));

@@ -815,6 +815,12 @@ let test_serve_bad_job_parameters () =
           (Protocol.Classify { window = None; bound = None; upload = huge })
           "Trace.stream_lines: input ended at interaction 3 of 1099511627776"
           endpoint;
+        expect "classify window 0" ~trace_file:short_trace
+          (Protocol.Classify
+             { window = Some 0; bound = None; upload = { upload with length = 3 } })
+          (job_error (fun () ->
+               Job.classify ~window:0 ~nodes:8 (Trace.load short_trace)))
+          endpoint;
         expect "sweep --reps 0"
           (sweep_request ~ns:[ 8 ] ~reps:0 ~seed:1 ())
           (job_error (fun () ->
@@ -836,7 +842,7 @@ let test_serve_bad_job_parameters () =
   in
   List.iter Sys.remove [ bad_trace; short_trace; disconnected ];
   Alcotest.(check int) "bad jobs count as failed"
-    (5 + List.length bad_runs)
+    (6 + List.length bad_runs)
     (counter_value tel "serve.failed")
 
 (* A long-lived server keeps nothing per finished connection: hundreds

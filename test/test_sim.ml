@@ -7,20 +7,39 @@ module Csv = Doda_sim.Csv
 module Algorithms = Doda_core.Algorithms
 module Prng = Doda_prng.Prng
 
+(* A measurement against the uniform adversary, one
+   [Experiment.replication_schedule] per replication, as the CLI's
+   scalar sweep builds them. *)
+let uniform ?jobs ?max_steps ~replications ?seed ~n
+    (algo : Doda_core.Algorithm.t) =
+  let max_steps =
+    match max_steps with Some m -> m | None -> (200 * n * n) + 10_000
+  in
+  Experiment.run_schedule_factory ?jobs ~replications ?seed ~max_steps
+    ~label:algo.name ~n
+    (fun rng ->
+      Experiment.replication_schedule algo ~n ~sink:0
+        (Doda_dynamic.Generators.uniform rng ~n))
+    algo
+
 let test_replicate_deterministic () =
   let f rng = Prng.int rng 1000 in
-  let a = Experiment.replicate ~replications:10 ~seed:5 f in
-  let b = Experiment.replicate ~replications:10 ~seed:5 f in
+  let a = Experiment.replicate_par ~jobs:1 ~replications:10 ~seed:5 f in
+  let b = Experiment.replicate_par ~jobs:1 ~replications:10 ~seed:5 f in
   Alcotest.(check (array int)) "same seed, same draws" a b;
-  let c = Experiment.replicate ~replications:10 ~seed:6 f in
+  let c = Experiment.replicate_par ~jobs:1 ~replications:10 ~seed:6 f in
   Alcotest.(check bool) "different seed differs" true (a <> c)
+
+(* [f] over the pre-split streams, in order, on the calling domain. *)
+let sequential ~replications ~seed f =
+  Array.map f (Experiment.split_seeds ~replications ~seed)
 
 let test_replicate_par_matches_sequential () =
   (* The parallel runner pre-splits seeds sequentially on the calling
-     domain, so results must be bit-identical to [replicate] at every
-     job count. *)
+     domain, so results must be bit-identical to the sequential map at
+     every job count. *)
   let f rng = Prng.int rng 1_000_000 in
-  let sequential = Experiment.replicate ~replications:25 ~seed:42 f in
+  let sequential = sequential ~replications:25 ~seed:42 f in
   List.iter
     (fun jobs ->
       let par = Experiment.replicate_par ~jobs ~replications:25 ~seed:42 f in
@@ -32,10 +51,7 @@ let test_replicate_par_matches_sequential () =
 let test_run_uniform_par_matches_sequential () =
   (* Full measurement pipeline: simulated durations, failure counts and
      sample order must not depend on the job count. *)
-  let run jobs =
-    Experiment.run_uniform ?jobs ~replications:12 ~seed:9 ~n:16
-      Algorithms.gathering
-  in
+  let run jobs = uniform ?jobs ~replications:12 ~seed:9 ~n:16 Algorithms.gathering in
   let reference = run None in
   List.iter
     (fun jobs ->
@@ -52,7 +68,7 @@ let test_replicate_par_shared_pool () =
   (* A caller-provided pool must yield the same results as the
      internal per-call pool and survive multiple dispatches. *)
   let f rng = Prng.float rng 1.0 in
-  let sequential = Experiment.replicate ~replications:9 ~seed:3 f in
+  let sequential = sequential ~replications:9 ~seed:3 f in
   Doda_sim.Pool.with_pool ~jobs:3 (fun pool ->
       for _ = 1 to 3 do
         let par = Experiment.replicate_par ~pool ~replications:9 ~seed:3 f in
@@ -61,7 +77,7 @@ let test_replicate_par_shared_pool () =
       done)
 
 let test_run_uniform_gathering () =
-  let m = Experiment.run_uniform ~replications:5 ~n:12 Algorithms.gathering in
+  let m = uniform ~replications:5 ~n:12 Algorithms.gathering in
   Alcotest.(check int) "all succeed" 0 m.failures;
   Alcotest.(check int) "five samples" 5 (Array.length m.samples);
   Alcotest.(check string) "label" "gathering" m.label;
@@ -72,16 +88,12 @@ let test_run_uniform_gathering () =
 
 let test_failures_counted () =
   (* A tiny budget forces failures for waiting. *)
-  let m =
-    Experiment.run_uniform ~replications:5 ~max_steps:3 ~n:12 Algorithms.waiting
-  in
+  let m = uniform ~replications:5 ~max_steps:3 ~n:12 Algorithms.waiting in
   Alcotest.(check int) "all fail" 5 m.failures;
   Alcotest.(check (float 1e-9)) "success rate" 0.0 (Experiment.success_rate m)
 
 let test_mean_raises_when_all_failed () =
-  let m =
-    Experiment.run_uniform ~replications:2 ~max_steps:1 ~n:10 Algorithms.waiting
-  in
+  let m = uniform ~replications:2 ~max_steps:1 ~n:10 Algorithms.waiting in
   Alcotest.check_raises "no samples"
     (Invalid_argument "Experiment.mean: no successful runs for waiting") (fun () ->
       ignore (Experiment.mean m))
@@ -91,7 +103,7 @@ let test_scaling_exponent_gathering () =
      should land near 2. *)
   let ms =
     List.map
-      (fun n -> Experiment.run_uniform ~replications:8 ~seed:11 ~n Algorithms.gathering)
+      (fun n -> uniform ~replications:8 ~seed:11 ~n Algorithms.gathering)
       [ 16; 32; 64; 128 ]
   in
   let fit = Scaling.exponent (Scaling.points_of ms) in
